@@ -49,7 +49,6 @@ struct AuditAccess
     static const std::array<int, maxConcurrentKernels> &
     quotas(const SmCore &sm) { return sm.quotas; }
 
-    static bool maskUsable(const SmCore &sm) { return sm.maskUsable; }
     static std::uint64_t issuableMask(const SmCore &sm)
     {
         return sm.issuableMask;
@@ -84,6 +83,9 @@ struct AuditAccess
 
     static const std::vector<std::uint64_t> &
     schedListMask(const SmCore &sm) { return sm.schedListMask; }
+
+    static const std::array<std::uint64_t, maxConcurrentKernels> &
+    kernelWarpMask(const SmCore &sm) { return sm.kernelWarpMask; }
 
     /** Scoreboard-side view of one in-flight global load. */
     struct LoadView

@@ -4,7 +4,7 @@
  * of cached accounting from the ground-truth state it summarizes:
  * allocator sums from CTA allocations, MSHR occupancy from in-flight
  * load transactions, scoreboard bits from pending writebacks, the
- * PR 3 readiness bitmasks from a legacy per-warp scan, and queue
+ * SM readiness bitmasks from a per-warp scan, and queue
  * conservation from accepted/serviced counters. A divergence means a
  * fast path drifted from the state it mirrors — exactly the class of
  * bug that silently corrupts sweep results.
@@ -258,10 +258,11 @@ checkSmBarriers(const Gpu &gpu, std::vector<std::string> &out)
 }
 
 /**
- * The PR 3 readiness/blocked/barrier/unit bitmasks cross-checked
- * against the legacy per-warp scan they replaced, plus scheduler-list
+ * The readiness/blocked/barrier/unit and per-kernel bitmasks
+ * cross-checked against a per-warp scan, plus scheduler-list
  * membership (each live warp on exactly its widx-mod-schedulers list,
- * mirrored by schedListMask).
+ * mirrored by schedListMask) and order: each list strictly increasing
+ * in launch age, the order GTO's oldest-first pick relies on.
  */
 void
 checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
@@ -270,11 +271,25 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
     for (unsigned s = 0; s < gpu.numSms(); ++s) {
         const SmCore &sm = gpu.sm(s);
         const auto &warps = AuditAccess::hotWarps(sm);
+        const auto &cold = AuditAccess::warps(sm);
         const auto &lists = AuditAccess::schedLists(sm);
 
-        // Scheduler-list membership (valid with or without masks).
+        // Scheduler-list membership and age order.
         std::vector<unsigned> seen(warps.size(), 0);
         for (std::size_t sc = 0; sc < lists.size(); ++sc) {
+            for (std::size_t i = 1; i < lists[sc].size(); ++i) {
+                const std::uint16_t prev = lists[sc][i - 1];
+                const std::uint16_t cur = lists[sc][i];
+                if (cold[prev].age >= cold[cur].age) {
+                    out.push_back(
+                        "SM " + std::to_string(s) + ": scheduler " +
+                        std::to_string(sc) + " list not in age order: "
+                        "warp " + std::to_string(prev) + " (age " +
+                        std::to_string(cold[prev].age) +
+                        ") before warp " + std::to_string(cur) +
+                        " (age " + std::to_string(cold[cur].age) + ")");
+                }
+            }
             for (std::uint16_t widx : lists[sc]) {
                 ++seen[widx];
                 const WarpHot &w = warps[widx];
@@ -304,17 +319,19 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
             }
         }
 
-        if (!AuditAccess::maskUsable(sm))
-            continue;
-
-        // Legacy per-warp recomputation of all seven fast-path masks.
+        // Per-warp recomputation of all seven fast-path masks and the
+        // per-kernel warp masks.
         std::uint64_t issuable = 0, memBlocked = 0, shortBlocked = 0;
         std::uint64_t barrier = 0, aluNext = 0, sfuNext = 0, ldstNext = 0;
+        std::array<std::uint64_t, maxConcurrentKernels> perKernel{};
         for (std::size_t w = 0; w < warps.size(); ++w) {
             const WarpHot &warp = warps[w];
             if (!warp.active || warp.finished)
                 continue;
             const std::uint64_t bit = std::uint64_t{1} << w;
+            const KernelId kid = cold[w].kernel;
+            if (kid >= 0 && kid < static_cast<KernelId>(maxConcurrentKernels))
+                perKernel[kid] |= bit;
             if (!warp.atBarrier && warp.ibuf > 0)
                 issuable |= bit;
             if (warp.atBarrier)
@@ -352,7 +369,17 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
                 std::ostringstream os;
                 os << "SM " << s << ": " << m.name << "Mask 0x"
                    << std::hex << m.cached
-                   << " != legacy per-warp scan 0x" << m.scanned;
+                   << " != per-warp scan 0x" << m.scanned;
+                out.push_back(os.str());
+            }
+        }
+        const auto &kernelMask = AuditAccess::kernelWarpMask(sm);
+        for (unsigned k = 0; k < maxConcurrentKernels; ++k) {
+            if (kernelMask[k] != perKernel[k]) {
+                std::ostringstream os;
+                os << "SM " << s << ": kernelWarpMask[" << k << "] 0x"
+                   << std::hex << kernelMask[k]
+                   << " != per-warp scan 0x" << perKernel[k];
                 out.push_back(os.str());
             }
         }

@@ -3,7 +3,7 @@
  * Invariant auditor: a registry of read-only consistency checks run
  * against the whole machine at a configurable cadence. Each check
  * cross-derives some piece of cached accounting (allocator sums, MSHR
- * occupancy, scoreboard masks, the PR 3 readiness bitmasks) from the
+ * occupancy, scoreboard masks, the SM readiness bitmasks) from the
  * ground-truth state it summarizes and reports any mismatch; a failed
  * audit throws InvariantViolation naming every failed check.
  *

@@ -83,6 +83,12 @@ GpuConfig::validate() const
                " is not a multiple of warpSize " +
                std::to_string(warpSize));
     }
+    if (maxThreadsPerSm / warpSize > maxWarpSlotsPerSm) {
+        reject("maxThreadsPerSm " + std::to_string(maxThreadsPerSm) +
+               " holds " + std::to_string(maxThreadsPerSm / warpSize) +
+               " warps, above the " + std::to_string(maxWarpSlotsPerSm) +
+               " an SM's 64-bit scheduler masks can track");
+    }
     if (maxCtasPerSm == 0)
         reject("maxCtasPerSm is 0 — no CTA can ever launch");
     if (numRegsPerSm == 0)
@@ -97,6 +103,27 @@ GpuConfig::validate() const
         reject("numAluPipes is 0 — ALU ops can never issue");
     if (aluInitiation == 0 || sfuInitiation == 0 || ldstInitiation == 0)
         reject("pipe initiation intervals must be >= 1 cycle");
+    const struct
+    {
+        const char *name;
+        unsigned value;
+    } wheelLatencies[] = {
+        {"fetchLatency", fetchLatency},
+        {"ifetchMissLatency", ifetchMissLatency},
+        {"aluLatency", aluLatency},
+        {"sfuLatency", sfuLatency},
+        {"l1HitLatency", l1HitLatency},
+        {"shmLatency", shmLatency},
+    };
+    for (const auto &lat : wheelLatencies) {
+        if (lat.value >= smWheelSlots) {
+            reject(std::string(lat.name) + " " +
+                   std::to_string(lat.value) + " is not below the " +
+                   std::to_string(smWheelSlots) +
+                   "-slot SM timing wheel — the event would alias onto "
+                   "an earlier slot and fire early");
+        }
+    }
 
     // ---- caches / memory system ----
     checkCacheGeometry("L1", l1Size, l1Assoc);

@@ -37,6 +37,15 @@ constexpr unsigned lineSize = 128;
 /** Maximum number of kernels that can share the GPU concurrently. */
 constexpr unsigned maxConcurrentKernels = 4;
 
+/** Warp slots per SM ceiling: the scheduler keeps one bit per slot in
+ *  64-bit readiness masks. */
+constexpr unsigned maxWarpSlotsPerSm = 64;
+
+/** Slots in each SM timing wheel (fetch, writeback, L1 hit). A latency
+ *  scheduled on a wheel must stay below this, or it aliases onto an
+ *  earlier slot and fires early. */
+constexpr unsigned smWheelSlots = 256;
+
 } // namespace wsl
 
 #endif // WSL_COMMON_TYPES_HH

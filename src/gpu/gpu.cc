@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "check/sim_error.hh"
 #include "check/watchdog.hh"
 #include "common/log.hh"
 #include "obs/engine_profiler.hh"
@@ -150,6 +151,18 @@ Gpu::launchKernel(const KernelParams &params, std::uint64_t inst_target)
 {
     WSL_ASSERT(kernels.size() < maxConcurrentKernels,
                "kernel table full");
+    // Bank conflicts stretch the shared-memory result latency on the
+    // SM writeback wheel; past the wheel size it would fire early.
+    const std::uint64_t shm_latency =
+        std::uint64_t{cfg.shmLatency} *
+        std::max(1u, params.shmConflictFactor);
+    if (shm_latency >= smWheelSlots) {
+        throw ConfigError(detail::concat(
+            "kernel ", params.name, ": shmLatency ", cfg.shmLatency,
+            " x shmConflictFactor ", params.shmConflictFactor, " = ",
+            shm_latency, " is not below the ", smWheelSlots,
+            "-slot SM writeback wheel"));
+    }
     auto inst = std::make_unique<KernelInstance>();
     inst->id = static_cast<KernelId>(kernels.size());
     inst->params = params;

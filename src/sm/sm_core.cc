@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -28,8 +28,6 @@ srcMaskOf(const Instruction &inst)
 void
 SmCore::updateIssuable(std::uint16_t widx)
 {
-    if (!maskUsable)
-        return;
     const std::uint64_t bit = std::uint64_t{1} << widx;
     const WarpHot &w = hot[widx];
     if (!w.active || w.finished) {
@@ -90,7 +88,6 @@ SmCore::SmCore(const GpuConfig &c, SmId id)
     freeWarpSlots.reserve(warps.size());
     for (unsigned w = 0; w < warps.size(); ++w)
         freeWarpSlots.push_back(static_cast<std::uint16_t>(w));
-    maskUsable = warps.size() <= 64;
     schedLists.resize(cfg.numSchedulers);
     schedListMask.assign(cfg.numSchedulers, 0);
     lastIssued.assign(cfg.numSchedulers, -1);
@@ -166,9 +163,9 @@ SmCore::launchCta(KernelId kid, const KernelParams &params,
         w.age = ageCounter++;
         cta.warpIdxs.push_back(widx);
         schedLists[widx % cfg.numSchedulers].push_back(widx);
-        if (maskUsable)
-            schedListMask[widx % cfg.numSchedulers] |=
-                std::uint64_t{1} << widx;
+        schedListMask[widx % cfg.numSchedulers] |=
+            std::uint64_t{1} << widx;
+        kernelWarpMask[kid] |= std::uint64_t{1} << widx;
         fetchQueue.push({widx, w.epoch});
         ++liveWarps;
         updateIssuable(widx);
@@ -190,8 +187,8 @@ SmCore::completeCta(int cta_idx)
 {
     CtaSlot &cta = ctas[cta_idx];
     WSL_ASSERT(cta.active, "completing inactive CTA");
-    // Every warp already left the scheduler lists in finishWarp();
-    // only the slot bookkeeping remains.
+    // Every warp already left the scheduler lists and its kernel's warp
+    // mask in finishWarp(); only the slot bookkeeping remains.
     for (std::uint16_t widx : cta.warpIdxs) {
         WarpHot &h = hot[widx];
         if (h.active && !h.finished)
@@ -228,6 +225,7 @@ SmCore::evictKernel(KernelId kid)
             h.finished = true;
             ++warps[widx].epoch;
             freeWarpSlots.push_back(widx);
+            kernelWarpMask[kid] &= ~(std::uint64_t{1} << widx);
             updateIssuable(widx);
         }
         resourcePool.free(cta.alloc);
@@ -245,9 +243,8 @@ SmCore::evictKernel(KernelId kid)
                                [&](std::uint16_t w) {
                                    if (hot[w].active)
                                        return false;
-                                   if (maskUsable)
-                                       schedListMask[s] &=
-                                           ~(std::uint64_t{1} << w);
+                                   schedListMask[s] &=
+                                       ~(std::uint64_t{1} << w);
                                    return true;
                                }),
                 list.end());
@@ -373,6 +370,18 @@ SmCore::injectBarrierHangForTest()
     invalidateScanCache();
 }
 
+bool
+SmCore::swapSchedListOrderForTest()
+{
+    for (auto &list : schedLists) {
+        if (list.size() >= 2) {
+            std::swap(list[0], list[1]);
+            return true;
+        }
+    }
+    return false;
+}
+
 void
 SmCore::finishWarp(std::uint16_t widx)
 {
@@ -386,9 +395,9 @@ SmCore::finishWarp(std::uint16_t widx)
     // slots every cycle until the whole CTA retires.
     auto &list = schedLists[widx % cfg.numSchedulers];
     list.erase(std::find(list.begin(), list.end(), widx));
-    if (maskUsable)
-        schedListMask[widx % cfg.numSchedulers] &=
-            ~(std::uint64_t{1} << widx);
+    schedListMask[widx % cfg.numSchedulers] &=
+        ~(std::uint64_t{1} << widx);
+    kernelWarpMask[warps[widx].kernel] &= ~(std::uint64_t{1} << widx);
     invalidateScanCache();
     const int cta_slot = warps[widx].ctaSlot;
     CtaSlot &cta = ctas[cta_slot];
@@ -696,203 +705,131 @@ SmCore::runScheduler(unsigned sched, Cycle now)
     memo.valid = false;
     ++engineSchedScans;
 
-    unsigned counts[6] = {0, 0, 0, 0, 0, 0};
-    // Per-kernel outcome counts feed stall attribution; zeroing and
-    // updating them per scanned warp is measurable, so the whole
-    // attribution path stays behind the telemetry flag (hoisted to a
-    // local so the scan loop tests a register, not a member reload).
-    const bool attribute = recordTelemetry;
-    unsigned kernelCounts[maxConcurrentKernels][6];
-    if (attribute)
-        std::memset(kernelCounts, 0, sizeof(kernelCounts));
-    unsigned scanned = 0;
-    bool issued = false;
+    // Two-phase mask scan. Phase 1 visits only candidate warps —
+    // issuable with a clean scoreboard, needing no busy unit — since
+    // everything else is a bit-provable failure (tryIssue tests the
+    // unit before any structural memory check, so a busy unit is a
+    // certain ExecBusy). A candidate tryIssue refuses (a structural
+    // hazard) is recorded in its outcome mask, abandoned if a later
+    // candidate issues. If nothing issues, the scan failed, counting
+    // no longer depends on scan order, and phase 2 fills in every
+    // other warp's outcome from the masks.
+    std::uint64_t busyBlocked = 0;
+    if (aluBusyUntil[sched] > now)
+        busyBlocked |= aluNextMask;
+    if (sfuBusyUntil > now)
+        busyBlocked |= sfuNextMask;
+    if (ldstBusyUntil > now)
+        busyBlocked |= ldstNextMask;
+    const std::uint64_t live = schedListMask[sched];
+    const std::uint64_t clean =
+        issuableMask & ~memBlockedMask & ~shortBlockedMask;
+    std::uint64_t rest = live & clean & ~busyBlocked;
+    // Warp bits per IssueOutcome.
+    std::uint64_t outcome[6] = {0, 0, 0, 0, 0, 0};
 
-    const bool useMask = maskUsable && !attribute;
-    if (useMask) {
-        // Two-phase mask scan. Phase 1 visits only candidate warps —
-        // issuable with a clean scoreboard — since everything else is
-        // a bit-provable failure; this touches no WarpState at all for
-        // blocked warps. Candidate failures (structural hazards) are
-        // counted as they happen; the counts are simply abandoned if a
-        // later candidate issues. If nothing issues, the scan failed,
-        // counting no longer depends on scan order, and the remaining
-        // outcomes come from popcounts over the masks.
-        // Warps whose next instruction needs a currently-busy unit are
-        // certain ExecBusy outcomes (tryIssue tests the unit before
-        // any structural memory check), so they are popcounted, never
-        // visited.
-        std::uint64_t busyBlocked = 0;
-        if (aluBusyUntil[sched] > now)
-            busyBlocked |= aluNextMask;
-        if (sfuBusyUntil > now)
-            busyBlocked |= sfuNextMask;
-        if (ldstBusyUntil > now)
-            busyBlocked |= ldstNextMask;
-        const std::uint64_t clean =
-            issuableMask & ~memBlockedMask & ~shortBlockedMask;
-        const std::uint64_t cand = clean & ~busyBlocked;
-        if (schedKind == SchedulerKind::Gto) {
-            const int greedy = lastIssued[sched];
-            if (greedy >= 0 && ((cand >> greedy) & 1) &&
-                (greedy % static_cast<int>(cfg.numSchedulers)) ==
-                    static_cast<int>(sched)) {
-                const IssueOutcome o = tryIssue(
-                    static_cast<std::uint16_t>(greedy), sched, now);
-                if (o == IssueOutcome::Issued)
-                    return;
-                ++counts[static_cast<unsigned>(o)];
-            }
-            for (std::uint16_t widx : list) {
-                if (static_cast<int>(widx) == greedy ||
-                    !((cand >> widx) & 1))
-                    continue;
-                const IssueOutcome o = tryIssue(widx, sched, now);
-                if (o == IssueOutcome::Issued) {
-                    lastIssued[sched] = widx;
-                    return;
-                }
-                ++counts[static_cast<unsigned>(o)];
-            }
-        } else {
-            const unsigned n = static_cast<unsigned>(list.size());
-            const unsigned start = rrPos[sched] % n;
-            for (unsigned i = 0; i < n; ++i) {
-                const unsigned pos = (start + i) % n;
-                const std::uint16_t widx = list[pos];
-                if (!((cand >> widx) & 1))
-                    continue;
-                const IssueOutcome o = tryIssue(widx, sched, now);
-                if (o == IssueOutcome::Issued) {
-                    lastIssued[sched] = widx;
-                    rrPos[sched] = pos + 1;
-                    return;
-                }
-                ++counts[static_cast<unsigned>(o)];
-            }
-        }
-
-        const std::uint64_t live = schedListMask[sched];
-        counts[static_cast<unsigned>(IssueOutcome::Barrier)] =
-            static_cast<unsigned>(std::popcount(live & barrierMask));
-        counts[static_cast<unsigned>(IssueOutcome::Empty)] =
-            static_cast<unsigned>(
-                std::popcount(live & ~issuableMask & ~barrierMask));
-        counts[static_cast<unsigned>(IssueOutcome::MemWait)] +=
-            static_cast<unsigned>(
-                std::popcount(live & issuableMask & memBlockedMask));
-        counts[static_cast<unsigned>(IssueOutcome::ShortWait)] +=
-            static_cast<unsigned>(std::popcount(
-                live & issuableMask & ~memBlockedMask &
-                shortBlockedMask));
-        counts[static_cast<unsigned>(IssueOutcome::ExecBusy)] +=
-            static_cast<unsigned>(
-                std::popcount(live & clean & busyBlocked));
-        scanned = static_cast<unsigned>(std::popcount(live));
-    } else {
-
-    auto consider = [&](std::uint16_t widx) -> bool {
-        const WarpHot &w = hot[widx];
-        if (!w.active || w.finished)
-            return false;
-        // The masks prove what tryIssue would return without touching
-        // anything: a clear issuable bit means Barrier (checked first
-        // there) or Empty, and a set blocked bit means MemWait or
-        // ShortWait (in that priority). Resolve those outcomes from
-        // bit tests and call tryIssue only for genuine candidates.
-        IssueOutcome outcome;
-        if (maskUsable && !((issuableMask >> widx) & 1))
-            outcome = w.atBarrier ? IssueOutcome::Barrier
-                                  : IssueOutcome::Empty;
-        else if (maskUsable && ((memBlockedMask >> widx) & 1))
-            outcome = IssueOutcome::MemWait;
-        else if (maskUsable && ((shortBlockedMask >> widx) & 1))
-            outcome = IssueOutcome::ShortWait;
-        else
-            outcome = tryIssue(widx, sched, now);
-        if (outcome == IssueOutcome::Issued) {
-            lastIssued[sched] = widx;
-            issued = true;
-            return true;
-        }
-        ++counts[static_cast<unsigned>(outcome)];
-        if (attribute)
-            ++kernelCounts[warps[widx].kernel]
-                          [static_cast<unsigned>(outcome)];
-        ++scanned;
-        return false;
-    };
-
-    if (schedKind == SchedulerKind::Gto) {
+    // Phase 1 only runs when this scheduler has a candidate at all;
+    // nearly every failed scan has none and goes straight to phase 2.
+    if (rest != 0 && schedKind == SchedulerKind::Gto) {
         // Greedy-then-oldest: stick with the last issued warp, then
-        // fall back to the oldest ready warp.
+        // fall back to the oldest ready warp. The list is kept in
+        // launch-age order, so popping candidates by age visits them
+        // exactly as a walk of the list would.
         const int greedy = lastIssued[sched];
-        if (greedy >= 0 && hot[greedy].active &&
-            !hot[greedy].finished &&
-            warps[greedy].kernel != invalidKernel) {
-            // Only if it is still on this scheduler's list.
-            if ((greedy % static_cast<int>(cfg.numSchedulers)) ==
-                static_cast<int>(sched)) {
-                if (consider(static_cast<std::uint16_t>(greedy)))
-                    return;
-            }
-        }
-        for (std::uint16_t widx : list) {
-            if (static_cast<int>(widx) == greedy)
-                continue;
-            if (consider(widx))
+        if (greedy >= 0 && ((rest >> greedy) & 1)) {
+            const std::uint64_t bit = std::uint64_t{1} << greedy;
+            rest &= ~bit;
+            const IssueOutcome o = tryIssue(
+                static_cast<std::uint16_t>(greedy), sched, now);
+            if (o == IssueOutcome::Issued)
                 return;
+            outcome[static_cast<unsigned>(o)] |= bit;
         }
-    } else {
+        while (rest != 0) {
+            unsigned oldest =
+                static_cast<unsigned>(std::countr_zero(rest));
+            for (std::uint64_t r = rest & (rest - 1); r != 0;
+                 r &= r - 1) {
+                const unsigned w =
+                    static_cast<unsigned>(std::countr_zero(r));
+                if (warps[w].age < warps[oldest].age)
+                    oldest = w;
+            }
+            const std::uint64_t bit = std::uint64_t{1} << oldest;
+            rest &= ~bit;
+            const IssueOutcome o = tryIssue(
+                static_cast<std::uint16_t>(oldest), sched, now);
+            if (o == IssueOutcome::Issued) {
+                lastIssued[sched] = static_cast<int>(oldest);
+                return;
+            }
+            outcome[static_cast<unsigned>(o)] |= bit;
+        }
+    } else if (rest != 0) {
         // Loose round robin over the resident warps.
         const unsigned n = static_cast<unsigned>(list.size());
-        unsigned start = rrPos[sched] % n;
+        const unsigned start = rrPos[sched] % n;
         for (unsigned i = 0; i < n; ++i) {
             const unsigned pos = (start + i) % n;
-            if (consider(list[pos])) {
+            const std::uint16_t widx = list[pos];
+            if (!((rest >> widx) & 1))
+                continue;
+            const IssueOutcome o = tryIssue(widx, sched, now);
+            if (o == IssueOutcome::Issued) {
+                lastIssued[sched] = widx;
                 rrPos[sched] = pos + 1;
                 return;
             }
+            outcome[static_cast<unsigned>(o)] |= std::uint64_t{1} << widx;
         }
     }
 
-    }  // !useMask (per-warp consider scan)
+    // Phase 2: nothing issued; add every non-candidate's outcome.
+    outcome[static_cast<unsigned>(IssueOutcome::Barrier)] |=
+        live & barrierMask;
+    outcome[static_cast<unsigned>(IssueOutcome::Empty)] |=
+        live & ~issuableMask & ~barrierMask;
+    outcome[static_cast<unsigned>(IssueOutcome::MemWait)] |=
+        live & issuableMask & memBlockedMask;
+    outcome[static_cast<unsigned>(IssueOutcome::ShortWait)] |=
+        live & issuableMask & ~memBlockedMask & shortBlockedMask;
+    outcome[static_cast<unsigned>(IssueOutcome::ExecBusy)] |=
+        live & clean & busyBlocked;
 
-    if (issued)
-        return;
-
-    StallKind kind = StallKind::Idle;
-    int culprit = invalidKernel;
-    if (scanned > 0) {
-        // Majority outcome, ties broken Mem > RAW > Exec > IBuffer >
-        // Barrier to match the paper's accounting priority.
-        static const IssueOutcome order[] = {
-            IssueOutcome::MemWait, IssueOutcome::ShortWait,
-            IssueOutcome::ExecBusy, IssueOutcome::Empty,
-            IssueOutcome::Barrier};
-        static const StallKind kinds[] = {
-            StallKind::MemLatency, StallKind::RawHazard,
-            StallKind::ExecResource, StallKind::IBufferEmpty,
-            StallKind::Barrier};
-        unsigned best = 0;
-        for (unsigned i = 0; i < 5; ++i) {
-            const unsigned c = counts[static_cast<unsigned>(order[i])];
-            if (c > counts[static_cast<unsigned>(order[best])])
-                best = i;
+    // Majority outcome, ties broken Mem > RAW > Exec > IBuffer >
+    // Barrier to match the paper's accounting priority.
+    static const IssueOutcome order[] = {
+        IssueOutcome::MemWait, IssueOutcome::ShortWait,
+        IssueOutcome::ExecBusy, IssueOutcome::Empty,
+        IssueOutcome::Barrier};
+    static const StallKind kinds[] = {
+        StallKind::MemLatency, StallKind::RawHazard,
+        StallKind::ExecResource, StallKind::IBufferEmpty,
+        StallKind::Barrier};
+    unsigned best = 0;
+    int bestCount = 0;
+    for (unsigned i = 0; i < 5; ++i) {
+        const int c = std::popcount(
+            outcome[static_cast<unsigned>(order[i])]);
+        if (c > bestCount) {
+            best = i;
+            bestCount = c;
         }
-        const unsigned chosen = static_cast<unsigned>(order[best]);
-        if (counts[chosen] > 0) {
-            kind = kinds[best];
-            // Attribute the stall to the kernel whose warps dominated
-            // the charged outcome (per-tenant Figure-1 profiles).
-            if (attribute) {
-                unsigned most = 0;
-                for (unsigned k = 0; k < maxConcurrentKernels; ++k) {
-                    if (kernelCounts[k][chosen] > most) {
-                        most = kernelCounts[k][chosen];
-                        culprit = static_cast<int>(k);
-                    }
-                }
+    }
+    const StallKind kind = bestCount > 0 ? kinds[best] : StallKind::Idle;
+    int culprit = invalidKernel;
+    if (recordTelemetry) {
+        // Attribute the stall to the kernel whose warps dominated the
+        // charged outcome (per-tenant Figure-1 profiles); ties go to
+        // the lower kernel id.
+        const std::uint64_t charged =
+            outcome[static_cast<unsigned>(order[best])];
+        int most = 0;
+        for (unsigned k = 0; k < maxConcurrentKernels; ++k) {
+            const int c = std::popcount(charged & kernelWarpMask[k]);
+            if (c > most) {
+                most = c;
+                culprit = static_cast<int>(k);
             }
         }
     }

@@ -165,7 +165,7 @@ class SmCore
 
     /** Scheduler scans answered by replaying the failed-scan memo. */
     std::uint64_t scanMemoHits() const { return engineScanMemoHits; }
-    /** Full O(warps) scheduler issue scans executed. */
+    /** Scheduler issue scans executed (memo misses). */
     std::uint64_t schedulerScans() const { return engineSchedScans; }
 
     /**
@@ -207,6 +207,15 @@ class SmCore
      */
     void injectBarrierHangForTest();
 
+    /**
+     * Test hook: swap the first two entries of the first scheduler
+     * list holding at least two warps, breaking the lists' launch-age
+     * order while membership and masks stay consistent. Returns false
+     * when no list has two warps. Only the auditor's age-order check
+     * can see the damage.
+     */
+    bool swapSchedListOrderForTest();
+
   private:
     friend struct AuditAccess;
     friend struct SnapshotAccess;
@@ -242,7 +251,7 @@ class SmCore
         std::uint32_t regMask;
     };
 
-    static constexpr unsigned wheelSize = 256;
+    static constexpr unsigned wheelSize = smWheelSlots;
 
     /**
      * Memoized outcome of a failed (nothing-issued) scheduler scan.
@@ -251,7 +260,8 @@ class SmCore
      * i-buffer refill, CTA launch/finish, outgoing-queue drain — or
      * the simulation clock crosses a pipeline busy-until horizon, the
      * next scan provably charges the same stall to the same kernel.
-     * Replaying the memo skips the O(warps) scan entirely.
+     * Replaying the memo skips the scan's busy-unit, candidate and
+     * outcome-popcount mask work (and the stall-majority vote).
      */
     struct ScanCacheEntry
     {
@@ -317,8 +327,8 @@ class SmCore
     std::uint32_t quotaGen = 0;
 
     /** Bit per warp slot: active, unfinished, not at a barrier, and
-     *  holding a buffered instruction. Usable only while every warp
-     *  index fits a 64-bit word (maskUsable). */
+     *  holding a buffered instruction. Every warp index fits a 64-bit
+     *  word: GpuConfig::validate() caps an SM at maxWarpSlotsPerSm. */
     std::uint64_t issuableMask = 0;
     /** Bit per warp slot: the next instruction's registers overlap the
      *  long-latency (memBlocked) or short-latency (shortBlocked)
@@ -333,12 +343,15 @@ class SmCore
     std::uint64_t aluNextMask = 0;
     std::uint64_t sfuNextMask = 0;
     std::uint64_t ldstNextMask = 0;
-    bool maskUsable = false;
+    /** Bit per live (active, unfinished) warp slot of each kernel;
+     *  popcounted against an outcome mask to attribute a failed scan's
+     *  stall to a kernel (telemetry). */
+    std::array<std::uint64_t, maxConcurrentKernels> kernelWarpMask{};
 
     // Schedulers.
     std::vector<std::vector<std::uint16_t>> schedLists;  //!< age order
-    /** Warp-slot bit set per scheduler mirroring schedLists membership
-     *  (maintained only while maskUsable). */
+    /** Warp-slot bit set per scheduler mirroring schedLists
+     *  membership. */
     std::vector<std::uint64_t> schedListMask;
     std::vector<int> lastIssued;   //!< GTO greedy warp per scheduler
     std::vector<unsigned> rrPos;   //!< LRR rotation per scheduler

@@ -28,18 +28,15 @@ frameSnapshot(const std::vector<std::uint8_t> &payload)
 {
     std::vector<std::uint8_t> out;
     out.reserve(headerSize + payload.size() + footerSize);
-    out.insert(out.end(), snapshotMagic, snapshotMagic + 8);
+    appendBytes(out, snapshotMagic, 8);
     const std::uint32_t version = snapshotFormatVersion;
     const std::uint64_t size = payload.size();
-    const auto *vp = reinterpret_cast<const std::uint8_t *>(&version);
-    const auto *sp = reinterpret_cast<const std::uint8_t *>(&size);
-    out.insert(out.end(), vp, vp + sizeof version);
-    out.insert(out.end(), sp, sp + sizeof size);
-    out.insert(out.end(), payload.begin(), payload.end());
+    appendBytes(out, &version, sizeof version);
+    appendBytes(out, &size, sizeof size);
+    appendBytes(out, payload.data(), payload.size());
     const std::uint64_t sum =
         snapshotChecksum(payload.data(), payload.size());
-    const auto *cp = reinterpret_cast<const std::uint8_t *>(&sum);
-    out.insert(out.end(), cp, cp + sizeof sum);
+    appendBytes(out, &sum, sizeof sum);
     return out;
 }
 

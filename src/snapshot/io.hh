@@ -22,6 +22,22 @@
 
 namespace wsl {
 
+/**
+ * Append `n` raw bytes to `out`. Written as resize + memcpy rather
+ * than vector::insert: GCC 12 reports a -Wstringop-overflow /
+ * -Warray-bounds false positive on small constant-size inserts, which
+ * breaks -Werror builds.
+ */
+inline void
+appendBytes(std::vector<std::uint8_t> &out, const void *p, std::size_t n)
+{
+    if (n == 0)
+        return;
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    std::memcpy(out.data() + at, p, n);
+}
+
 /** Append-only little-endian byte sink for snapshot payloads. */
 class SnapWriter
 {
@@ -60,7 +76,7 @@ class SnapWriter
     str(const std::string &s)
     {
         u32(static_cast<std::uint32_t>(s.size()));
-        data.insert(data.end(), s.begin(), s.end());
+        raw(s.data(), s.size());
     }
 
     /** Four-character section marker; the reader checks it so a
@@ -69,7 +85,7 @@ class SnapWriter
     void
     tag(const char (&name)[5])
     {
-        data.insert(data.end(), name, name + 4);
+        raw(name, 4);
     }
 
     const std::vector<std::uint8_t> &bytes() const { return data; }
@@ -79,8 +95,7 @@ class SnapWriter
     void
     raw(const void *p, std::size_t n)
     {
-        const auto *bytes_p = static_cast<const std::uint8_t *>(p);
-        data.insert(data.end(), bytes_p, bytes_p + n);
+        appendBytes(data, p, n);
     }
 
     static_assert(std::endian::native == std::endian::little,

@@ -474,7 +474,10 @@ struct SnapshotAccess
         w.u64(s.aluNextMask);
         w.u64(s.sfuNextMask);
         w.u64(s.ldstNextMask);
-        w.b(s.maskUsable);
+        // Layout slot kept for format compatibility: the readiness
+        // masks are always in use (at most maxWarpSlotsPerSm warps per
+        // SM), so it is written as 1 and load() rejects a 0.
+        w.b(true);
 
         w.u32(static_cast<std::uint32_t>(s.schedLists.size()));
         for (const std::vector<std::uint16_t> &list : s.schedLists) {
@@ -670,7 +673,12 @@ struct SnapshotAccess
         s.aluNextMask = r.u64();
         s.sfuNextMask = r.u64();
         s.ldstNextMask = r.u64();
-        s.maskUsable = r.b();
+        if (!r.b()) {
+            throw SnapshotError(
+                "snapshot corrupted: SM readiness masks marked unusable "
+                "(no supported machine has more than " +
+                std::to_string(maxWarpSlotsPerSm) + " warps per SM)");
+        }
 
         const std::uint32_t nscheds = r.u32();
         checkCount(nscheds, s.schedLists.size(), "scheduler");
@@ -777,6 +785,24 @@ struct SnapshotAccess
         s.recordTelemetry = r.b();
         for (Histogram &h : s.memLatency)
             load(r, h);
+
+        // Per-kernel warp masks are derived state: rebuild them from
+        // the restored warps.
+        s.kernelWarpMask.fill(0);
+        for (std::size_t widx = 0; widx < s.hot.size(); ++widx) {
+            const WarpHot &h = s.hot[widx];
+            const KernelId kid = s.warps[widx].kernel;
+            if (!h.active || h.finished)
+                continue;
+            if (kid < 0 ||
+                kid >= static_cast<KernelId>(maxConcurrentKernels)) {
+                throw SnapshotError(
+                    "snapshot corrupted: live warp " +
+                    std::to_string(widx) + " has kernel " +
+                    std::to_string(kid));
+            }
+            s.kernelWarpMask[kid] |= std::uint64_t{1} << widx;
+        }
 
         // Engine-meta counters (memo hits, scan counts) describe how
         // the simulator ran, not the simulated machine; they restart

@@ -183,6 +183,30 @@ TEST(Auditor, CadenceSchedulesNextAudit)
     EXPECT_GT(aud->nextAuditAt(), gpu.cycle() - 500);
 }
 
+TEST(Auditor, ReportsSchedulerListOutOfAgeOrder)
+{
+    // GTO picks the oldest candidate by launch age and relies on every
+    // scheduler list being kept in that order; a swapped list keeps
+    // membership and masks consistent, so only the age check sees it.
+    Gpu gpu(auditedConfig(1), std::make_unique<LeftOverPolicy>());
+    gpu.launchKernel(barrierKernel());
+    gpu.run(2'000);
+    ASSERT_FALSE(gpu.allKernelsDone());
+    EXPECT_NO_THROW(gpu.integrityAuditor()->runChecks(gpu));
+
+    ASSERT_TRUE(gpu.sm(0).swapSchedListOrderForTest());
+    try {
+        gpu.integrityAuditor()->runChecks(gpu);
+        FAIL() << "audit missed a scheduler list out of age order";
+    } catch (const InvariantViolation &e) {
+        ASSERT_EQ(e.failures().size(), 1u);
+        EXPECT_NE(e.failures().front().find("SM 0: scheduler 0 list "
+                                            "not in age order"),
+                  std::string::npos)
+            << e.failures().front();
+    }
+}
+
 // ---- No-progress watchdog ----
 
 TEST(Watchdog, QuietOnHealthyRun)

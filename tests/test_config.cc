@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/config.hh"
+#include "core/policies.hh"
 #include "expect_throw.hh"
+#include "gpu/gpu.hh"
+#include "workloads/benchmarks.hh"
 
 using namespace wsl;
 
@@ -106,6 +111,60 @@ TEST(ConfigValidate, RejectsBadDramRowBytes)
     GpuConfig cfg = GpuConfig::baseline();
     cfg.dramRowBytes = lineSize + 1;
     WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "dramRowBytes");
+}
+
+TEST(ConfigValidate, RejectsMoreWarpsThanTheSchedulerMasksHold)
+{
+    GpuConfig cfg = GpuConfig::baseline();
+    cfg.maxThreadsPerSm = maxWarpSlotsPerSm * warpSize;
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.maxThreadsPerSm = (maxWarpSlotsPerSm + 1) * warpSize;
+    WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "maxThreadsPerSm");
+}
+
+TEST(ConfigValidate, RejectsLatenciesThatAliasTheSmTimingWheels)
+{
+    // Each latency is scheduled on a 256-slot SM wheel; at or past the
+    // wheel size the event lands on an earlier slot and fires early.
+    const struct
+    {
+        const char *name;
+        unsigned GpuConfig::*field;
+    } latencies[] = {
+        {"fetchLatency", &GpuConfig::fetchLatency},
+        {"ifetchMissLatency", &GpuConfig::ifetchMissLatency},
+        {"aluLatency", &GpuConfig::aluLatency},
+        {"sfuLatency", &GpuConfig::sfuLatency},
+        {"l1HitLatency", &GpuConfig::l1HitLatency},
+        {"shmLatency", &GpuConfig::shmLatency},
+    };
+    for (const auto &lat : latencies) {
+        SCOPED_TRACE(lat.name);
+        GpuConfig cfg = GpuConfig::baseline();
+        cfg.*lat.field = smWheelSlots - 1;
+        EXPECT_NO_THROW(cfg.validate());
+        cfg.*lat.field = smWheelSlots;
+        WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, lat.name);
+        cfg.*lat.field = smWheelSlots + 1;
+        WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, lat.name);
+    }
+}
+
+TEST(ConfigValidate, LaunchRejectsBankConflictsThatAliasTheWheel)
+{
+    // The bank-conflict factor multiplies the shared-memory latency
+    // per kernel, so the wheel bound is checked at launch.
+    GpuConfig cfg = GpuConfig::baseline();
+    cfg.shmLatency = 32;
+    Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
+    KernelParams k = benchmark("MM");
+    k.shmConflictFactor = smWheelSlots / cfg.shmLatency;  // 32 x 8
+    WSL_EXPECT_THROW_MSG(gpu.launchKernel(k), ConfigError,
+                         "shmConflictFactor");
+    EXPECT_EQ(gpu.numKernels(), 0u);
+    k.shmConflictFactor = smWheelSlots / cfg.shmLatency - 1;
+    EXPECT_NO_THROW(gpu.launchKernel(k));
+    EXPECT_EQ(gpu.numKernels(), 1u);
 }
 
 TEST(ConfigValidate, MessagesAreActionable)

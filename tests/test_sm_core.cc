@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "check/access.hh"
 #include "sm/sm_core.hh"
 #include "workloads/benchmarks.hh"
 
@@ -314,24 +315,45 @@ TEST(SmCore, TwoKernelsShareOneSm)
 
 TEST(SmCore, GtoFavorsOldWarpsLrrRotates)
 {
-    // Same workload under both schedulers completes with identical
-    // instruction counts but different interleavings (cycle counts
-    // may differ).
+    // Warp slots are handed out LIFO, so a newer CTA reuses *lower*
+    // slots: slot order is the reverse of age order. GTO must still
+    // pick by age. Two 4-warp CTAs of different kernels, every i-buffer
+    // refilled in the same cycle (fetchWidth 8), dependent ALU chains:
+    //   kernel 0: slots 47 46 45 44, ages 0-3
+    //   kernel 1: slots 43 42 41 40, ages 4-7
+    // Scheduler 1 holds 47 45 43 41. Its first issue goes to the
+    // oldest warp, 47; two cycles later 47 (now the greedy warp) waits
+    // on its RAW hazard and the oldest ready warp, 45, must issue —
+    // not a newer, lower-slot kernel-1 warp. Scheduler 0 likewise
+    // issues 46, then 44.
     auto run_sched = [](SchedulerKind kind) {
         GpuConfig cfg = GpuConfig::baseline();
         cfg.scheduler = kind;
+        cfg.fetchWidth = 8;
         TestRig rig(cfg);
-        auto a = launch(rig, aluKernel(50, 1), 0, 0);
-        Cycle cycles = 0;
-        while (!rig.sm.idle() && cycles < 100000) {
+        KernelParams params = aluKernel(50, 1);
+        params.blockDim = 128;
+        auto a = launch(rig, params, 0, 0);
+        auto b = launch(rig, params, 1, 1);
+        const auto &hot = AuditAccess::hotWarps(rig.sm);
+        const auto &warps = AuditAccess::warps(rig.sm);
+        EXPECT_LT(warps[47].age, warps[41].age);
+        while (rig.sm.stats().warpInstsIssued < 4 && rig.now < 1000)
             rig.tick();
-            ++cycles;
+        if (kind == SchedulerKind::Gto) {
+            EXPECT_EQ(rig.sm.stats().warpInstsIssued, 4u);
+            for (unsigned w : {47u, 46u, 45u, 44u})
+                EXPECT_EQ(hot[w].pc, 1u) << "older warp " << w;
+            for (unsigned w : {43u, 42u, 41u, 40u})
+                EXPECT_EQ(hot[w].pc, 0u) << "newer warp " << w;
+            EXPECT_EQ(rig.sm.stats().kernelWarpInsts[1], 0u);
         }
-        EXPECT_EQ(rig.sm.stats().warpInstsIssued, 2u * 8u * 50u);
-        return cycles;
+        while (!rig.sm.idle() && rig.now < 100000)
+            rig.tick();
+        EXPECT_EQ(rig.sm.stats().warpInstsIssued, 2u * 4u * 8u * 50u);
     };
-    EXPECT_GT(run_sched(SchedulerKind::Gto), 0u);
-    EXPECT_GT(run_sched(SchedulerKind::Lrr), 0u);
+    run_sched(SchedulerKind::Gto);
+    run_sched(SchedulerKind::Lrr);
 }
 
 TEST(SmCore, StallAccountingCoversAllCycles)
