@@ -87,30 +87,11 @@ struct GpuConfig
      *  toggle: results are bit-identical either way (the bench_sweep
      *  gate enforces this); false forces the per-cycle reference loop. */
     bool clockSkip = true;
-    /** Worker threads sharding the per-cycle SM/partition ticks inside
-     *  one Gpu (intra-run parallelism). Pure performance toggle like
-     *  clockSkip: cross-component traffic is staged per component and
-     *  merged in fixed index order at a cycle barrier, so results are
-     *  bit-identical for any thread count (the bench_sweep 8-way gate
-     *  enforces this). 1 (the default) is the serial engine with no
-     *  pool at all; clamped to the component count. Set to
-     *  tickThreadsAuto to let the Gpu constructor pick serial vs
-     *  pooled from the machine size and the host's core count. */
+    /** Tick-engine worker threads. The engine is serial, so 1 is the
+     *  only value validate() accepts. The field stays only because the
+     *  perfbench harness assigns it explicitly; the next benchmark
+     *  change should drop that assignment and this field with it. */
     unsigned tickThreads = 1;
-
-    /** tickThreads sentinel: resolve via autoTickThreads() at Gpu
-     *  construction (CLI spelling: --tick-threads auto). */
-    static constexpr unsigned tickThreadsAuto = ~0u;
-
-    /**
-     * Adaptive engine selection: worker threads justified by the
-     * per-epoch work of a `num_sms`-SM machine on a host with
-     * `hardware` cores (0 = unknown). Small configs — including the
-     * Table I baseline — get 1 (the serial engine, where a pool is
-     * pure dispatch/barrier overhead); large presets get roughly one
-     * worker per 16 SMs, bounded by the cores actually present.
-     */
-    static unsigned autoTickThreads(unsigned num_sms, unsigned hardware);
 
     // ---- Integrity layer (check/) ----
     /** Invariant-audit cadence in cycles; 0 disables audits. Audits
@@ -157,8 +138,7 @@ struct GpuConfig
      * memory partitions with 256 KB of L2 per partition and the
      * Section V-H large-resource SM (64 warps, 256 KB register file,
      * 96 KB shared memory). Not a paper configuration — it exists to
-     * exercise the tick engine at modern-GPU component counts, where
-     * the pooled engine and fused epochs pay off (bench_scaling).
+     * exercise the simulator at modern-GPU component counts.
      */
     static GpuConfig
     datacenter()

@@ -1,7 +1,6 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "check/sim_error.hh"
 #include "check/watchdog.hh"
@@ -12,40 +11,8 @@
 
 namespace wsl {
 
-namespace {
-
-/** A fused window must cover at least this many cycles to beat the
- *  cost of computing it (the per-SM quiet-bound scan). */
-constexpr Cycle minFuseCycles = 4;
-
-/** Cycles to wait after a failed fuse attempt before re-scanning the
- *  horizon. Under saturation every attempt fails (some SM always has
- *  memory traffic within minFuseCycles), and the scan itself is
- *  O(SMs x warps); pacing it keeps never-fusing windows on the plain
- *  per-cycle path. */
-constexpr Cycle fuseCooldown = 8;
-
-/** Pool a phase only past this component count: dispatching a handful
- *  of partition ticks (or horizon scans) to workers costs more in
- *  barrier wait than the sharded work saves. Serial fallback is
- *  bit-identical (same order; min-reduce is associative). */
-constexpr std::size_t minPooledComponents = 24;
-
-/** Map the tickThreads=auto sentinel to a concrete thread count
- *  before the config is stored (and validated). */
-GpuConfig
-resolveEngineConfig(GpuConfig c)
-{
-    if (c.tickThreads == GpuConfig::tickThreadsAuto)
-        c.tickThreads = GpuConfig::autoTickThreads(
-            c.numSms, std::thread::hardware_concurrency());
-    return c;
-}
-
-} // namespace
-
 Gpu::Gpu(const GpuConfig &c, std::unique_ptr<SlicingPolicy> p)
-    : cfg(resolveEngineConfig(c)), policy(std::move(p))
+    : cfg(c), policy(std::move(p))
 {
     WSL_ASSERT(policy != nullptr, "GPU needs a slicing policy");
     // Reject inconsistent machines before building components out of
@@ -66,84 +33,6 @@ Gpu::Gpu(const GpuConfig &c, std::unique_ptr<SlicingPolicy> p)
     partPtrs.reserve(partitions.size());
     for (auto &part : partitions)
         partPtrs.push_back(part.get());
-
-    // Intra-run tick pool: more workers than SMs would only idle at
-    // the barrier, so clamp there. The phase closures are built once;
-    // each captures only `this` and reads the live cycle/skip state
-    // through it, so dispatching a phase is a single pool.run().
-    const unsigned tick_threads =
-        std::min(cfg.tickThreads, cfg.numSms);
-    if (tick_threads > 1) {
-        pool = std::make_unique<TickPool>(tick_threads);
-        horizonShard.assign(tick_threads, neverCycle);
-        smPhase = [this](unsigned t) {
-            // Tag worker-side assertion failures with our cycle, as
-            // run() does for the dispatching thread.
-            SimContextGuard context(&now);
-            const auto [begin, end] =
-                shardRange(smPtrs.size(), t, pool->threads());
-            for (std::size_t i = begin; i < end; ++i) {
-                SmCore &core = *smPtrs[i];
-                if (core.quiescent(now))
-                    core.skipTick(now, 1);
-                else
-                    core.tick(now);
-            }
-        };
-        partPhase = [this](unsigned t) {
-            SimContextGuard context(&now);
-            const auto [begin, end] =
-                shardRange(partPtrs.size(), t, pool->threads());
-            for (std::size_t i = begin; i < end; ++i)
-                partPtrs[i]->tick(now);
-        };
-        skipPhase = [this](unsigned t) {
-            SimContextGuard context(&now);
-            const auto [begin, end] =
-                shardRange(smPtrs.size(), t, pool->threads());
-            for (std::size_t i = begin; i < end; ++i)
-                smPtrs[i]->skipTick(now, pendingSkip);
-            const auto [pbegin, pend] =
-                shardRange(partPtrs.size(), t, pool->threads());
-            for (std::size_t i = pbegin; i < pend; ++i)
-                partPtrs[i]->skipTick(pendingSkip);
-        };
-        horizonPhase = [this](unsigned t) {
-            const auto [begin, end] =
-                shardRange(smPtrs.size(), t, pool->threads());
-            Cycle h = neverCycle;
-            for (std::size_t i = begin; i < end && h > now; ++i)
-                h = std::min(h, smPtrs[i]->nextEventAt(now));
-            const auto [pbegin, pend] =
-                shardRange(partPtrs.size(), t, pool->threads());
-            for (std::size_t i = pbegin; i < pend && h > now; ++i)
-                h = std::min(h, partPtrs[i]->nextEventAt(now));
-            horizonShard[t] = h;
-        };
-        fusePhase = [this](unsigned t) {
-            SimContextGuard context(&now);
-            const auto [begin, end] =
-                shardRange(smPtrs.size(), t, pool->threads());
-            for (std::size_t i = begin; i < end; ++i) {
-                // SMs are provably interaction-free across the whole
-                // window (fuseHorizon), so each worker may run its
-                // shard's cycles back to back: the per-cycle order
-                // SM0..SMn x cycle and this cycle x SM0..SMn order
-                // compute identical per-SM states.
-                SmCore &core = *smPtrs[i];
-                for (Cycle c = 0; c < pendingFuse; ++c) {
-                    if (core.quiescent(now + c))
-                        core.skipTick(now + c, 1);
-                    else
-                        core.tick(now + c);
-                }
-                WSL_ASSERT(core.outgoingRequests().empty(),
-                           "fused window staged interconnect traffic");
-                WSL_ASSERT(core.completedCtaEvents().empty(),
-                           "fused window completed a CTA");
-            }
-        };
-    }
 }
 
 KernelId
@@ -274,10 +163,6 @@ Gpu::dispatch()
 void
 Gpu::tickSms()
 {
-    if (pool) {
-        pool->run(smPhase);
-        return;
-    }
     for (auto &sm_ptr : sms) {
         // A drained core can only burn Idle slots this cycle; account
         // them in bulk instead of running the pipeline stages.
@@ -291,12 +176,6 @@ Gpu::tickSms()
 void
 Gpu::tickPartitions()
 {
-    // Few partitions tick faster inline than sharded (the dispatch +
-    // barrier would dominate); the dc-scale partition counts pool.
-    if (pool && partPtrs.size() >= minPooledComponents) {
-        pool->run(partPhase);
-        return;
-    }
     for (auto &part : partitions)
         part->tick(now);
 }
@@ -364,12 +243,9 @@ Gpu::tick()
     policyDirty = false;
     policy->tick(*this, now);
     dispatch();
-    // Two-phase tick. Compute phases (tickSms/tickPartitions) touch
-    // only per-component state and may run sharded across the pool;
-    // the interconnect stage between them commits the staged traffic
-    // serially in fixed index order — the same order the old
-    // routeMemory() produced — which is what keeps any thread count
-    // bit-identical to the serial engine.
+    // SMs and partitions touch only their own state while they tick;
+    // the interconnect stage between them moves the staged traffic in
+    // fixed component-index order.
     if (prof) {
         // Timed variant: identical phase sequence, bracketed by
         // monotonic clock reads that feed nothing back into the
@@ -417,8 +293,6 @@ void
 Gpu::attachEngineProfiler(EngineProfiler *profiler)
 {
     prof = profiler;
-    if (pool)
-        pool->enableStats(prof != nullptr);
 }
 
 Cycle
@@ -455,35 +329,6 @@ Gpu::nextHorizon(Cycle end)
                 pendingCap = HorizonCap::Telemetry;
         }
     }
-    // Cap attribution when a component wins: partitions are few, so
-    // re-asking them (const scans) disambiguates SM vs partition — a
-    // partition with an event at or before the capped horizon ties or
-    // beats every SM. Only runs while profiling.
-    const auto component_cap = [&](Cycle at) {
-        for (const auto &part : partitions)
-            if (part->nextEventAt(now) <= at)
-                return HorizonCap::Partition;
-        return HorizonCap::Sm;
-    };
-    if (pool && smPtrs.size() >= minPooledComponents) {
-        // Sharded min-reduce: each worker scans its component slice
-        // (with the same early-out at `now`) into its own slot; min
-        // of per-worker minima == min of the serial scan.
-        pool->run(horizonPhase);
-        for (const Cycle shard_min : horizonShard) {
-            if (shard_min <= now) {
-                if (prof)
-                    pendingCap = component_cap(now);
-                return now;
-            }
-            if (shard_min < h) {
-                h = shard_min;
-                if (prof)
-                    pendingCap = component_cap(h);
-            }
-        }
-        return h;
-    }
     for (const auto &sm_ptr : sms) {
         const Cycle e = sm_ptr->nextEventAt(now);
         if (e <= now) {
@@ -516,157 +361,11 @@ Gpu::nextHorizon(Cycle end)
 void
 Gpu::bulkSkip(Cycle cycles)
 {
-    if (pool) {
-        pendingSkip = cycles;
-        pool->run(skipPhase);
-    } else {
-        for (auto &sm_ptr : sms)
-            sm_ptr->skipTick(now, cycles);
-        for (auto &part : partitions)
-            part->skipTick(cycles);
-    }
-    now += cycles;
-}
-
-Cycle
-Gpu::fuseHorizon(Cycle end)
-{
-    pendingFuseCap = FuseCap::RunEnd;
-    // Glue that must observe the very next cycle pins the fuse to
-    // `now` outright; everything else caps the window length.
-    if (policyDirty) {
-        pendingFuseCap = FuseCap::Policy;
-        return now;
-    }
-    Cycle h = end;
-    const auto cap = [&](Cycle c, FuseCap why) {
-        if (c < h) {
-            h = c;
-            pendingFuseCap = why;
-        }
-    };
-    cap(policy->nextDecisionAt(now), FuseCap::Policy);
-
-    // Dispatch: the fused window never runs the placement scan, so it
-    // must be provably a no-op throughout. A moved quota-generation
-    // sum re-arms the scan the next dispatch() would notice — don't
-    // fuse over it. Pending work is only tolerable while the
-    // placement-saturation memo proves rescans futile, and then only
-    // up to the memo's expiry.
-    std::uint64_t gen = 0;
-    for (const auto &sm_ptr : sms)
-        gen += sm_ptr->quotaGeneration();
-    if (gen != quotaGenSeen) {
-        pendingFuseCap = FuseCap::Dispatch;
-        return now;
-    }
-    if (ctaDispatchDirty) {
-        if (!dispatchBlocked || dispatchBlockedUntil <= now) {
-            pendingFuseCap = FuseCap::Dispatch;
-            return now;
-        }
-        cap(dispatchBlockedUntil, FuseCap::Dispatch);
-    }
-    if (telem) {
-        // As in nextHorizon(): onCycleEnd fires during the tick of
-        // cycle nextSampleAt()-1, so that cycle needs a full epoch.
-        const Cycle sample = telem->nextSampleAt();
-        if (sample <= now + 1) {
-            pendingFuseCap = FuseCap::Telemetry;
-            return now;
-        }
-        cap(sample - 1, FuseCap::Telemetry);
-    }
-    // Audits run between epochs; capping at the cadence boundary makes
-    // the post-fuse audit land on exactly the cycle the per-cycle
-    // engine would have audited (cadence 1 disables fusing entirely).
-    if (auditor)
-        cap(auditor->nextAuditAt(), FuseCap::Audit);
-    // The watchdog check also runs between epochs. Capping at the
-    // deadline bounds detection coarsening: a hang already in progress
-    // is still detected at its exact deadline cycle; one *starting*
-    // mid-window is noticed at most a window late.
-    if (cfg.watchdogCycles != 0)
-        cap(lastProgressCycle + cfg.watchdogCycles, FuseCap::Watchdog);
-    if (h <= now + 1)
-        return h;
-
-    // Instruction-target kernels: checkKernelProgress() does not run
-    // inside the window, so the window must end before any kernel
-    // could possibly reach its target. Issue is bounded by one warp
-    // instruction (warpSize threads) per scheduler per cycle.
-    const std::uint64_t rate = static_cast<std::uint64_t>(sms.size()) *
-                               cfg.numSchedulers * warpSize;
-    for (const auto &kern_ptr : kernels) {
-        const KernelInstance &k = *kern_ptr;
-        if (k.done || k.instTarget == 0)
-            continue;
-        const std::uint64_t executed = kernelThreadInsts(k.id);
-        if (executed >= k.instTarget) {
-            pendingFuseCap = FuseCap::InstTarget;
-            return now;
-        }
-        // F cycles are safe iff executed + F*rate < target.
-        cap(now + (k.instTarget - executed - 1) / rate,
-            FuseCap::InstTarget);
-    }
-    if (h <= now + 1)
-        return h;
-
-    // Partitions must be idle across the whole window (their ticks,
-    // the request merge, and the response delivery are all skipped).
-    for (const auto &part : partitions) {
-        const Cycle e = part->nextEventAt(now);
-        if (e <= now) {
-            pendingFuseCap = FuseCap::Partition;
-            return now;
-        }
-        cap(e, FuseCap::Partition);
-    }
-    // SMs cap at their traffic / CTA-completion quiet bound.
-    for (const auto &sm_ptr : sms) {
-        if (h <= now + 1)
-            return h;
-        const Cycle q = sm_ptr->fuseQuietUntil(now);
-        if (q <= now) {
-            pendingFuseCap = FuseCap::Sm;
-            return now;
-        }
-        cap(q, FuseCap::Sm);
-    }
-    return h;
-}
-
-void
-Gpu::runFusedEpoch(Cycle cycles)
-{
-    const std::uint64_t t0 = prof ? EngineProfiler::timestampNs() : 0;
-    if (pool) {
-        pendingFuse = cycles;
-        pool->run(fusePhase);
-    } else {
-        for (SmCore *core : smPtrs) {
-            for (Cycle c = 0; c < cycles; ++c) {
-                if (core->quiescent(now + c))
-                    core->skipTick(now + c, 1);
-                else
-                    core->tick(now + c);
-            }
-            WSL_ASSERT(core->outgoingRequests().empty(),
-                       "fused window staged interconnect traffic");
-            WSL_ASSERT(core->completedCtaEvents().empty(),
-                       "fused window completed a CTA");
-        }
-    }
-    // Partitions were proven idle for the whole window; skipTick only
-    // bulk-records telemetry occupancy, exactly like `cycles` idle
-    // per-cycle ticks would have.
+    for (auto &sm_ptr : sms)
+        sm_ptr->skipTick(now, cycles);
     for (auto &part : partitions)
         part->skipTick(cycles);
     now += cycles;
-    if (prof)
-        prof->onPhaseNs(EpochPhase::FusedCompute,
-                        EngineProfiler::timestampNs() - t0);
 }
 
 std::uint64_t
@@ -727,34 +426,6 @@ Gpu::run(Cycle max_cycles)
         lastProgressSig = progressSignature();
     }
     while (now < end && !allKernelsDone()) {
-        // Fused multi-cycle epoch: when no interaction (traffic,
-        // dispatch, policy/telemetry/audit/watchdog boundary, CTA or
-        // kernel completion) can occur for a stretch, run the SMs'
-        // ticks for the whole stretch back to back — one pool
-        // dispatch instead of 2+ per cycle — and skip the idle
-        // partitions and the per-cycle glue entirely. Bit-identical
-        // to per-cycle ticking by construction; covers the
-        // compute-bound stretches bulkSkip (which needs *eventless*
-        // cycles) cannot touch.
-        if (skipping && now >= fuseRetryAt) {
-            const Cycle fuse_end = fuseHorizon(end);
-            if (fuse_end >= now + minFuseCycles) {
-                const Cycle window = fuse_end - now;
-                if (prof)
-                    prof->onFusedEpoch(window, pendingFuseCap);
-                runFusedEpoch(window);
-                if (auditor && now >= auditor->nextAuditAt())
-                    auditor->runChecks(*this);
-                if (wd != 0)
-                    checkWatchdog();
-                continue;
-            }
-            // Failed attempt: back off before scanning again. Gates
-            // that go quiet mid-cooldown are caught at most
-            // fuseCooldown cycles late — a shorter fused window, not a
-            // missed one.
-            fuseRetryAt = now + fuseCooldown;
-        }
         tick();
         // Audits run post-tick. Skipped stretches are provably
         // eventless, so state at the next real event equals state at

@@ -18,7 +18,6 @@
 #include "gpu/kernel.hh"
 #include "gpu/policy.hh"
 #include "gpu/staging.hh"
-#include "harness/tick_pool.hh"
 #include "mem/partition.hh"
 #include "sm/sm_core.hh"
 
@@ -26,7 +25,6 @@ namespace wsl {
 
 class EngineProfiler;
 enum class HorizonCap : unsigned;
-enum class FuseCap : unsigned;
 class TelemetrySampler;
 struct SnapshotAccess;
 
@@ -129,7 +127,7 @@ class Gpu
      * attached, every tick phase is wall-clock-timed and every skip
      * horizon attributed; the profiler never feeds back into
      * simulation decisions, so attaching it cannot change simulated
-     * state. Also switches the tick pool's per-worker stats on/off.
+     * state.
      */
     void attachEngineProfiler(EngineProfiler *profiler);
     EngineProfiler *engineProfiler() const { return prof; }
@@ -144,24 +142,13 @@ class Gpu
      *  counters for the auditor's staging check). */
     const InterconnectStage &interconnect() const { return icnt; }
 
-    /** The intra-run tick pool: non-null iff cfg.tickThreads > 1
-     *  (clamped to the SM count). Exposed for tests — e.g. to force
-     *  out-of-order worker completion through the pool's test hook. */
-    TickPool *tickPool() { return pool.get(); }
-
   private:
     friend struct SnapshotAccess;
 
     void dispatch();
 
-    /**
-     * Parallel compute phase of a tick: every SM's (then, after the
-     * request merge, every partition's) tick runs on the pool,
-     * sharded contiguously by component index. Components only touch
-     * their own state during this phase; all cross-component traffic
-     * waits, staged, for the serial commit phase. Falls back to the
-     * plain serial loop when there is no pool.
-     */
+    /** Tick every SM (bulk-accounting drained ones), then, after the
+     *  request merge, every partition, in component-index order. */
     void tickSms();
     void tickPartitions();
 
@@ -183,39 +170,14 @@ class Gpu
     /**
      * Earliest cycle > now at which any component could act, clamped
      * to `end`; returns `now` itself when some component needs the
-     * very next cycle (no skip possible). With a tick pool the
-     * per-component scan runs as a sharded min-reduce (non-const only
-     * for the per-worker scratch minima).
+     * very next cycle (no skip possible). Non-const only for the
+     * profiler's cap-attribution scratch.
      */
     Cycle nextHorizon(Cycle end);
 
     /** Jump the clock by `cycles` guaranteed-eventless cycles,
      *  bulk-accounting every SM and partition. */
     void bulkSkip(Cycle cycles);
-
-    /**
-     * Fused-epoch horizon: the first cycle >= now that CANNOT be part
-     * of a multi-cycle fused window starting at `now` — the earliest
-     * cycle where per-cycle glue (policy tick, dispatch, interconnect
-     * merge/deliver, CTA drain, progress checks, telemetry) could
-     * observably act. Every cycle in [now, fuseHorizon(end)) is
-     * provably interaction-free: no SM stages interconnect traffic or
-     * completes a CTA (SmCore::fuseQuietUntil), every partition is
-     * idle, no policy/telemetry/audit/watchdog/instruction-target
-     * boundary falls inside, and dispatch is provably a no-op.
-     * Returns `now` when no fuse is possible. Records the capping
-     * constraint in pendingFuseCap.
-     */
-    Cycle fuseHorizon(Cycle end);
-
-    /**
-     * Run `cycles` consecutive SM ticks with no glue between them —
-     * one pool dispatch (or one serial sweep) instead of `cycles`
-     * full epochs — then bulk-skip the idle partitions and advance
-     * the clock. Caller guarantees cycles <= fuseHorizon(end) - now;
-     * results are bit-identical to `cycles` individual ticks.
-     */
-    void runFusedEpoch(Cycle cycles);
 
     const GpuConfig cfg;
     std::unique_ptr<SlicingPolicy> policy;
@@ -230,33 +192,12 @@ class Gpu
     std::unique_ptr<Auditor> auditor;
     Cycle now = 0;
 
-    // ---- Intra-run tick parallelism (cfg.tickThreads > 1) ----
-    /** Raw component pointers, built once: phase lambdas and the
-     *  interconnect stage iterate these without touching the
-     *  unique_ptr vectors each cycle. */
+    /** Raw component pointers, built once: the interconnect stage
+     *  iterates these without touching the unique_ptr vectors each
+     *  cycle. */
     std::vector<SmCore *> smPtrs;
     std::vector<MemPartition *> partPtrs;
     InterconnectStage icnt;
-    std::unique_ptr<TickPool> pool;
-    /** Pre-built phase closures: constructing a std::function per
-     *  tick would put an allocation back on the hot path. */
-    std::function<void(unsigned)> smPhase;
-    std::function<void(unsigned)> partPhase;
-    std::function<void(unsigned)> skipPhase;
-    std::function<void(unsigned)> horizonPhase;
-    std::function<void(unsigned)> fusePhase;
-    Cycle pendingSkip = 0;          //!< argument to skipPhase
-    Cycle pendingFuse = 0;          //!< argument to fusePhase
-    /** Which constraint capped the last fuseHorizon() (profiling). */
-    FuseCap pendingFuseCap{};
-    /** Fuse-attempt cooldown: after a failed attempt, the next cycle
-     *  worth re-scanning. Saturated machines fail every attempt (some
-     *  SM always has near-term memory traffic), so retrying each
-     *  cycle would put the full fuseHorizon() scan on the hot path.
-     *  Engine-only pacing — a delayed fuse covers a shorter window
-     *  with bit-identical per-cycle semantics. */
-    Cycle fuseRetryAt = 0;
-    std::vector<Cycle> horizonShard; //!< per-worker horizon minima
 
     // No-progress watchdog state (used only when cfg.watchdogCycles).
     Cycle lastProgressCycle = 0;

@@ -1,16 +1,13 @@
 /**
  * @file
- * The serial commit half of the two-phase tick engine. During the
- * parallel compute phase every SM and memory partition only touches
- * its own state and stages outbound traffic in per-component buffers
- * (SmCore::outgoingRequests(), MemPartition::responses()); after the
- * cycle barrier this stage drains those buffers in fixed SM-index /
- * partition-index order. Because the merge order is a function of
- * component indices alone — never of worker finish order — the
- * partition input queues and SM response queues receive exactly the
- * sequence the serial reference engine produces, which is what makes
- * tick-level parallelism bit-identical (the bench_sweep 8-way gate
- * enforces it end to end).
+ * The SM <-> memory-partition interconnect merge of each tick. SMs
+ * stage outbound requests in SmCore::outgoingRequests() and partitions
+ * stage responses in MemPartition::responses(); this stage drains
+ * those buffers in fixed SM-index / partition-index order. It is kept
+ * as its own object for its conservation counters: the integrity
+ * auditor cross-checks them against the partitions' accounting, so a
+ * message dropped or duplicated between the two shows up as a
+ * violation.
  */
 
 #ifndef WSL_GPU_STAGING_HH

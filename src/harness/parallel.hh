@@ -14,7 +14,6 @@
 #define WSL_HARNESS_PARALLEL_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -31,29 +30,6 @@ unsigned parseJobs(const char *text, const char *what);
 
 /** Worker threads from the WSL_JOBS environment variable (default 1). */
 unsigned defaultJobs();
-
-/** Intra-run tick threads from WSL_TICK_THREADS (default 1 = the
- *  serial tick engine). Same parse rules as defaultJobs(). */
-unsigned defaultTickThreads();
-
-/**
- * Compose batch-level and tick-level parallelism without
- * oversubscribing the machine: with `jobs` concurrent simulations the
- * per-run tick-thread count is clamped so jobs x threads stays within
- * the hardware concurrency (and a fully loaded batch runs each
- * simulation serially). When the clamp would leave a worker-starved
- * pool (fewer than 3 threads — where dispatch/barrier overhead beats
- * the sharded work, per the engine profiler), the request degrades
- * all the way to 1 (the serial engine) instead; every such
- * degradation is counted (tickThreadDegradations(), exported through
- * the counter registry as wsl_tick_threads_degraded). Never returns
- * 0; returns `tick_threads` unchanged when jobs <= 1.
- */
-unsigned composeTickThreads(unsigned jobs, unsigned tick_threads);
-
-/** Process-wide count of composeTickThreads() calls that degraded a
- *  pooled (>1) request to the serial engine. */
-std::uint64_t tickThreadDegradations();
 
 /**
  * Run fn(0) ... fn(n-1), fanning out over `jobs` worker threads

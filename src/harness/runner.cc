@@ -402,16 +402,9 @@ Characterization::prewarm(const std::vector<std::string> &names,
     // one broken benchmark doesn't take down the whole fan-out. The
     // jobs that actually reference it re-hit the same error in their
     // own lazy lookup and record it per-job.
-    //
-    // Tick threads are composed against the batch width so the warm-up
-    // doesn't oversubscribe; the cache key excludes tickThreads (the
-    // results are bit-identical), so these entries serve the later
-    // uncomposed solo() lookups too.
-    GpuConfig warm_cfg = cfg;
-    warm_cfg.tickThreads = composeTickThreads(jobs, cfg.tickThreads);
     parallelFor(unique.size(), jobs, [&](std::size_t i) {
         try {
-            SoloCache::global().get(benchmark(unique[i]), warm_cfg,
+            SoloCache::global().get(benchmark(unique[i]), cfg,
                                     windowCycles);
         } catch (const SimError &) {
         }
@@ -454,14 +447,7 @@ runCoScheduleBatch(Characterization &chars,
     for (const CoRunJob &job : batch)
         names.insert(names.end(), job.apps.begin(), job.apps.end());
     chars.prewarm(names, jobs);
-
-    // Batch-level and tick-level parallelism compose multiplicatively:
-    // clamp the per-run tick threads so `jobs` concurrent simulations
-    // never oversubscribe the machine (a saturating batch runs every
-    // simulation with the serial tick engine). Results are unaffected
-    // — tick threads are bit-identity-neutral by construction.
-    GpuConfig run_cfg = chars.config();
-    run_cfg.tickThreads = composeTickThreads(jobs, run_cfg.tickThreads);
+    const GpuConfig &run_cfg = chars.config();
 
     return parallelMap<CoRunResult>(
         batch.size(), jobs, [&](std::size_t i) {

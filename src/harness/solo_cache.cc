@@ -9,11 +9,8 @@ configFingerprint(const GpuConfig &c)
 {
     // Serialize every field; a parameter added to GpuConfig must be
     // appended here or distinct configs could share solo results.
-    // Deliberate exception: tickThreads is excluded. It only picks the
-    // tick-engine thread count, and results are bit-identical for any
-    // value (enforced by the bench_sweep 8-way gate), so including it
-    // would split the cache — a batch prewarmed at a composed thread
-    // count could never serve the later uncomposed lookups.
+    // Deliberate exception: tickThreads is excluded. validate()
+    // accepts only 1, so it cannot tell two configs apart.
     std::ostringstream os;
     os << c.numSms << ',' << c.simtWidth << ',' << c.numSchedulers
        << ',' << static_cast<int>(c.scheduler) << ','

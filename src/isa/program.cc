@@ -29,63 +29,6 @@ KernelProgram::countUnit(UnitKind kind) const
 }
 
 void
-KernelProgram::computeDistanceTables()
-{
-    const std::size_t n = body.size();
-    distToMem.assign(n, distInf);
-    distToEnd.assign(n, distInf);
-    if (n == 0) {
-        minIterLen = 0;
-        return;
-    }
-
-    // distToEnd: shortest issue count to reach the wrap point. Every
-    // edge goes forward (fall-through pc+1; BraDiv targets validate as
-    // strictly forward), so one backward pass is exact.
-    for (std::size_t i = n; i-- > 0;) {
-        std::uint32_t succ =
-            (i + 1 == n) ? 0 : distToEnd[i + 1];
-        if (body[i].op == Opcode::BraDiv) {
-            const auto t =
-                static_cast<std::size_t>(body[i].branchTarget);
-            succ = std::min(succ, t >= n ? 0 : distToEnd[t]);
-        }
-        distToEnd[i] = succ + 1;
-    }
-    minIterLen = distToEnd[0];
-
-    // distToMem: shortest issue count to reach a global-memory op.
-    // The iteration wrap makes the graph cyclic (last pc -> 0), so
-    // iterate the fixpoint; each backward pass propagates distances
-    // across at least one more wrap, and all distances are bounded by
-    // n * (longest simple path), so n+1 passes always converge.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t i = n; i-- > 0;) {
-            std::uint32_t d;
-            if (isGlobalMem(body[i].op)) {
-                d = 1;
-            } else {
-                std::uint32_t succ =
-                    (i + 1 == n) ? distToMem[0] : distToMem[i + 1];
-                if (body[i].op == Opcode::BraDiv) {
-                    const auto t =
-                        static_cast<std::size_t>(body[i].branchTarget);
-                    succ = std::min(succ,
-                                    t >= n ? distToMem[0] : distToMem[t]);
-                }
-                d = succ == distInf ? distInf : succ + 1;
-            }
-            if (d < distToMem[i]) {
-                distToMem[i] = d;
-                changed = true;
-            }
-        }
-    }
-}
-
-void
 KernelProgram::validate() const
 {
     WSL_ASSERT(!body.empty(), "kernel body must not be empty");

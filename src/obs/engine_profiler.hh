@@ -1,15 +1,11 @@
 /**
  * @file
  * Engine self-profiler: where does the *simulator's* wall-clock time
- * go? PR 5's baselines showed the parallel tick engine losing ground
- * (tick_speedup 0.17 on a 1-thread box) without saying whether the
- * cost is compute-phase imbalance, commit serialization, or worker
- * park/wake latency. The profiler answers that: it wall-clock-times
- * each of the four tick phases (SM compute, request merge, partition
- * compute, response delivery), attributes every clock-skip horizon to
- * the component that capped it, counts skip effectiveness, and — at
- * harvest — folds in the tick pool's per-worker busy/park profile,
- * the schedulers' scan-vs-memo split, and the solo cache's hit rate.
+ * go? It wall-clock-times each of the four tick phases (SM compute,
+ * request merge, partition compute, response delivery), attributes
+ * every clock-skip horizon to the component that capped it, counts
+ * skip effectiveness, and — at harvest — folds in the schedulers'
+ * scan-vs-memo split and the solo cache's hit rate.
  *
  * Guarantee: the profiler only *observes*. It accumulates wall-clock
  * durations and event counts; nothing it records ever feeds back into
@@ -26,7 +22,6 @@
 #include <chrono>
 #include <cstdint>
 #include <ostream>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -35,37 +30,22 @@ namespace wsl {
 class CounterRegistry;
 class Gpu;
 
-/** The four phases of one Gpu::tick() (two parallel compute phases
- *  bracketing the two serial interconnect commits). */
+/** The four phases of one Gpu::tick(): the two compute phases and
+ *  the interconnect merges between them. */
 enum class EpochPhase : unsigned
 {
-    SmCompute,         //!< SmCore::tick over all SMs (pooled)
-    IcntMergeRequests, //!< serial ordered request merge
+    SmCompute,         //!< SmCore::tick over all SMs
+    IcntMergeRequests, //!< ordered request merge
     PartitionCompute,  //!< MemPartition::tick over all partitions
-    IcntDeliver,       //!< serial ordered response delivery
-    FusedCompute,      //!< multi-cycle fused SM window (one dispatch)
+    IcntDeliver,       //!< ordered response delivery
+    /** Never timed: always 0, and not exported. Kept only because the
+     *  perfbench harness still reads it; the next benchmark change
+     *  should drop the read and this entry. */
+    FusedCompute,
     NumPhases
 };
 
 const char *epochPhaseName(EpochPhase phase);
-
-/** Who capped a fused-epoch window (the first event that forced the
- *  engine back to per-cycle glue — or forbade fusing at all). */
-enum class FuseCap : unsigned
-{
-    Policy,     //!< policy decision boundary (or dirty kernel set)
-    Dispatch,   //!< pending CTA dispatch work (or quota change)
-    Telemetry,  //!< sampler interval boundary
-    Audit,      //!< integrity-audit cadence boundary
-    Watchdog,   //!< no-progress deadline
-    InstTarget, //!< a kernel's instruction target could be hit
-    Sm,         //!< an SM's traffic / CTA-completion quiet bound
-    Partition,  //!< a partition's next event
-    RunEnd,     //!< the caller's max_cycles
-    NumCaps
-};
-
-const char *fuseCapName(FuseCap cap);
 
 /** Who capped a clock-skip horizon (why the clock could not jump
  *  further — or at all). */
@@ -122,20 +102,11 @@ class EngineProfiler
         ++capCounts[static_cast<unsigned>(cap)];
     }
 
-    void
-    onFusedEpoch(Cycle cycles, FuseCap cap)
-    {
-        ++fusedEpochCount;
-        fusedCyclesAcc += cycles;
-        ++fuseCapCounts[static_cast<unsigned>(cap)];
-    }
-
     // ---- Harvest & export ----
 
     /**
      * Pull the cross-component engine counters out of a finished (or
-     * paused) machine: tick-pool worker profile, scheduler
-     * scan/memo split, solo-cache hits. Call before the Gpu is
+     * paused) machine: scheduler scan/memo split, solo-cache hits. Call before the Gpu is
      * destroyed; safe to call repeatedly (overwrites, no
      * accumulation).
      */
@@ -156,27 +127,6 @@ class EngineProfiler
     {
         return capCounts[static_cast<unsigned>(cap)];
     }
-    std::uint64_t fusedEpochs() const { return fusedEpochCount; }
-    std::uint64_t fusedCycles() const { return fusedCyclesAcc; }
-    std::uint64_t
-    fuseCapCount(FuseCap cap) const
-    {
-        return fuseCapCounts[static_cast<unsigned>(cap)];
-    }
-
-    struct WorkerProfile
-    {
-        std::uint64_t busyNs = 0;
-        std::uint64_t parks = 0;
-    };
-
-    std::uint64_t poolDispatches() const { return dispatches; }
-    std::uint64_t poolBarrierWaitNs() const { return barrierWaitNs; }
-    std::uint64_t poolStolenShares() const { return stolen; }
-    const std::vector<WorkerProfile> &workers() const
-    {
-        return workerProfiles;
-    }
     std::uint64_t scanMemoHits() const { return memoHits; }
     std::uint64_t schedulerScans() const { return schedScans; }
 
@@ -194,20 +144,11 @@ class EngineProfiler
     std::array<std::uint64_t,
                static_cast<unsigned>(HorizonCap::NumCaps)>
         capCounts{};
-    std::array<std::uint64_t,
-               static_cast<unsigned>(FuseCap::NumCaps)>
-        fuseCapCounts{};
     std::uint64_t tickCount = 0;
     std::uint64_t skipCount = 0;
     std::uint64_t skippedCyclesAcc = 0;
-    std::uint64_t fusedEpochCount = 0;
-    std::uint64_t fusedCyclesAcc = 0;
 
     // Harvested (see harvest()).
-    std::uint64_t dispatches = 0;
-    std::uint64_t barrierWaitNs = 0;
-    std::uint64_t stolen = 0;
-    std::vector<WorkerProfile> workerProfiles;
     std::uint64_t memoHits = 0;
     std::uint64_t schedScans = 0;
     std::uint64_t soloHits = 0;

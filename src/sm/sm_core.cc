@@ -176,8 +176,6 @@ SmCore::launchCta(KernelId kid, const KernelParams &params,
     ++resident[kid];
     ++smStats.ctasLaunched;
     invalidateScanCache();
-    fuseBoundValid = false;  // new warps the fuse memo never saw
-    fuseRetryAt = 0;
     (void)now;
     return true;
 }
@@ -252,8 +250,6 @@ SmCore::evictKernel(KernelId kid)
     }
     resident[kid] = 0;
     invalidateScanCache();
-    fuseBoundValid = false;
-    fuseRetryAt = 0;
 }
 
 unsigned
@@ -1055,69 +1051,6 @@ SmCore::skipTick(Cycle now, Cycle cycles)
             chargeStall(memo.kind, memo.culprit, cycles);
         }
     }
-}
-
-Cycle
-SmCore::fuseQuietUntil(Cycle now)
-{
-    if (!outRequests.empty())
-        return now;  // staged traffic needs merge this cycle
-    if (liveWarps == 0) {
-        // No warp can issue, so no new traffic and no CTA completion
-        // until a launch (which invalidates the memo). In-flight
-        // fills and writebacks are SM-local.
-        return neverCycle;
-    }
-    if (fuseBoundValid && fuseBoundAt > now)
-        return fuseBoundAt;
-    if (now < fuseRetryAt)
-        return now;  // last scan proved the bound too tight to fuse
-
-    constexpr Cycle retryBackoff = 32;
-    Cycle bound = neverCycle;
-    for (const CtaSlot &cta : ctas) {
-        if (!cta.active)
-            continue;
-        // The CTA completes only when its *last* warp wraps up, so its
-        // completion bound is the max over member warps; each warp's
-        // remaining-issue count is the distance to the end of the
-        // current iteration plus full minimum-length iterations.
-        std::uint64_t max_remain = 0;
-        for (std::uint16_t widx : cta.warpIdxs) {
-            const WarpHot &h = hot[widx];
-            if (!h.active || h.finished)
-                continue;
-            const KernelProgram &prog = *h.program;
-            if (!prog.distanceTablesReady() || h.pc >= prog.body.size()) {
-                fuseRetryAt = now + retryBackoff;
-                return now;  // hand-built program: no-fuse fallback
-            }
-            const std::uint32_t dm = prog.distToMem[h.pc];
-            if (dm != KernelProgram::distInf) {
-                if (dm <= 1) {
-                    // Next issue may be a global-memory op; it could
-                    // be stalled for a while, so back off rescans.
-                    fuseRetryAt = now + retryBackoff;
-                    return now;
-                }
-                bound = std::min(bound, now + dm - 1);
-            }
-            const WarpState &w = warps[widx];
-            const std::uint64_t iters_left =
-                prog.loopIters > w.iter + 1
-                    ? prog.loopIters - w.iter - 1 : 0;
-            const std::uint64_t remain =
-                prog.distToEnd[h.pc] + iters_left * prog.minIterLen;
-            max_remain = std::max(max_remain, remain);
-        }
-        if (max_remain != 0)
-            bound = std::min(bound, now + max_remain - 1);
-    }
-    fuseBoundAt = bound;
-    fuseBoundValid = true;
-    if (bound <= now + 1)
-        fuseRetryAt = now + retryBackoff;
-    return bound;
 }
 
 } // namespace wsl

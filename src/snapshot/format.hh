@@ -21,6 +21,12 @@ namespace wsl {
  * Restore refuses files of a different version outright: the format
  * has no field-level compatibility story, by design — a snapshot is a
  * bit-exact machine image, not an interchange format.
+ *
+ * Retired engine state keeps its layout slot rather than bumping the
+ * version, so existing files still restore: the SM readiness-mask
+ * "usable" byte (always written 1), and the fused-epoch memo — each
+ * SM's quiet bound, its valid flag and its retry cycle, plus the
+ * ENGS section's retry cycle — written as 0 and discarded on load.
  */
 inline constexpr std::uint32_t snapshotFormatVersion = 1;
 

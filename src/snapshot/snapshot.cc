@@ -5,8 +5,8 @@
  * written; each component has a save/load pair whose field order is
  * the layout contract (guarded by section tags at the top level and a
  * full-consumption check at the end). The engine memos — scheduler
- * scan caches, fuse bounds, DRAM horizon memos, dispatch saturation
- * flags — are serialized rather than reset so a restored run takes
+ * scan caches, DRAM horizon memos, dispatch saturation flags — are
+ * serialized rather than reset so a restored run takes
  * the exact same engine path (skipTick replays stall charges from the
  * scan memos) as a run that never stopped.
  */
@@ -562,9 +562,11 @@ struct SnapshotAccess
             w.u8(static_cast<std::uint8_t>(e.culprit));
         }
 
-        w.u64(s.fuseBoundAt);
-        w.b(s.fuseBoundValid);
-        w.u64(s.fuseRetryAt);
+        // Layout slots of the retired fused-epoch memo, kept for
+        // format compatibility: written as 0, discarded on load.
+        w.u64(0);
+        w.b(false);
+        w.u64(0);
 
         w.u32(static_cast<std::uint32_t>(s.ctaCompletions.size()));
         for (const KernelId kid : s.ctaCompletions)
@@ -772,9 +774,10 @@ struct SnapshotAccess
             e.culprit = static_cast<std::int8_t>(r.u8());
         }
 
-        s.fuseBoundAt = r.u64();
-        s.fuseBoundValid = r.b();
-        s.fuseRetryAt = r.u64();
+        // Retired fused-epoch memo slots (see save()).
+        r.u64();
+        r.b();
+        r.u64();
 
         s.ctaCompletions.resize(r.u32());
         for (KernelId &kid : s.ctaCompletions)
@@ -865,7 +868,7 @@ struct SnapshotAccess
         w.b(gpu.dispatchBlocked);
         w.u64(gpu.dispatchBlockedUntil);
         w.b(gpu.policyDirty);
-        w.u64(gpu.fuseRetryAt);
+        w.u64(0);  // retired fused-epoch retry cycle (format slot)
 
         w.tag("ENDS");
         return w.take();
@@ -953,7 +956,7 @@ struct SnapshotAccess
         gpu.dispatchBlocked = r.b();
         gpu.dispatchBlockedUntil = r.u64();
         gpu.policyDirty = r.b();
-        gpu.fuseRetryAt = r.u64();
+        r.u64();  // retired fused-epoch retry cycle
 
         r.tag("ENDS");
         r.finish();
@@ -978,13 +981,12 @@ std::string
 snapshotMachineFingerprint(const GpuConfig &cfg)
 {
     // Canonicalize the knobs that cannot change simulated state:
-    // engine variants are bit-identical at tick boundaries, audits
+    // clock skipping is bit-identical at tick boundaries, audits
     // and the watchdog are read-only. The format version rides along
     // so layout changes invalidate old fingerprints everywhere at
     // once (snapshot files AND warm-start cache keys).
     GpuConfig canon = cfg;
     canon.clockSkip = true;
-    canon.tickThreads = 1;
     canon.auditCadence = 0;
     canon.watchdogCycles = 0;
     return configFingerprint(canon) +

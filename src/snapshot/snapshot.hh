@@ -6,10 +6,10 @@
  * queues, staging), the kernel table, the slicing policy's internal
  * state, stats counters, and the deterministic engine memos — so a
  * restored machine continues bit-identically to one that never
- * stopped. Because the engine variants (clock skipping, tick threads,
- * fused epochs) are bit-identical at tick boundaries, a snapshot taken
- * under one variant is a legal restart point under any other; the
- * machine fingerprint canonicalizes those engine knobs away.
+ * stopped. Because clock skipping is bit-identical at tick
+ * boundaries, a snapshot taken with it on is a legal restart point with
+ * it off and vice versa; the machine fingerprint canonicalizes that
+ * engine knob away.
  *
  * Consumers: warm-start co-run fan-out (harness/snapshot_cache.hh),
  * resumable sweeps (--snapshot/--restore in wslicer-sim), and
@@ -33,10 +33,9 @@ class Gpu;
 
 /**
  * Fingerprint of the *simulated machine* a snapshot belongs to: every
- * GpuConfig field, with the pure-performance engine knobs (clockSkip,
- * tickThreads) and the read-only integrity knobs (auditCadence,
- * watchdogCycles) canonicalized away, plus the snapshot format
- * version. Two configs with equal fingerprints produce bit-identical
+ * GpuConfig field, with the pure-performance clockSkip knob and the
+ * read-only integrity knobs (auditCadence, watchdogCycles)
+ * canonicalized away, plus the snapshot format version. Two configs with equal fingerprints produce bit-identical
  * machines, so a snapshot may be restored across engine variants —
  * including into an audit-enabled build for bisection-by-replay.
  */

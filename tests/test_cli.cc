@@ -13,6 +13,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 namespace {
 
 /** Locate the driver relative to common working directories. */
@@ -141,5 +143,16 @@ TEST(Cli, ZeroAuditCadenceIsRejected)
     REQUIRE_CLI();
     const auto [status, out] = run("solo IMG --cycles 1000 --audit=0");
     EXPECT_NE(status, 0);
+    EXPECT_NE(out.find("usage"), std::string::npos);
+}
+
+TEST(Cli, TickThreadsFlagIsAUsageError)
+{
+    REQUIRE_CLI();
+    // The tick engine is serial; the retired flag must not be
+    // silently accepted.
+    const auto [status, out] = run("corun MM BFS --tick-threads 4");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
     EXPECT_NE(out.find("usage"), std::string::npos);
 }

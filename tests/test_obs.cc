@@ -397,11 +397,10 @@ struct ObservedRun
 /** A small MM+LBM co-run under the Dynamic policy with everything
  *  observable attached (or nothing, when `observed` is false). */
 ObservedRun
-smallCoRun(bool observed, unsigned tick_threads, bool clock_skip)
+smallCoRun(bool observed, bool clock_skip)
 {
     GpuConfig cfg = GpuConfig::baseline();
     cfg.clockSkip = clock_skip;
-    cfg.tickThreads = tick_threads;
     const Cycle window = 6000;
     Characterization chars(cfg, window);
 
@@ -452,27 +451,19 @@ expectStatsEqual(const GpuStats &a, const GpuStats &b)
 
 TEST(ObsIdentity, ProfilerRegistryAndLogDoNotPerturbSimulation)
 {
-    const ObservedRun off = smallCoRun(false, 1, true);
-    const ObservedRun on = smallCoRun(true, 1, true);
+    const ObservedRun off = smallCoRun(false, true);
+    const ObservedRun on = smallCoRun(true, true);
     EXPECT_EQ(off.result.makespan, on.result.makespan);
     EXPECT_EQ(off.result.sysIpc, on.result.sysIpc);
     EXPECT_EQ(off.result.chosenCtas, on.result.chosenCtas);
     expectStatsEqual(off.result.stats, on.result.stats);
 }
 
-TEST(ObsIdentity, DecisionLogDeterministicAcrossTickThreads)
-{
-    const ObservedRun serial = smallCoRun(true, 1, true);
-    const ObservedRun pooled = smallCoRun(true, 4, true);
-    EXPECT_FALSE(serial.decisionJson.empty());
-    EXPECT_EQ(serial.decisionJson, pooled.decisionJson);
-    expectStatsEqual(serial.result.stats, pooled.result.stats);
-}
-
 TEST(ObsIdentity, DecisionLogDeterministicAcrossClockSkip)
 {
-    const ObservedRun skip = smallCoRun(true, 1, true);
-    const ObservedRun noskip = smallCoRun(true, 1, false);
+    const ObservedRun skip = smallCoRun(true, true);
+    const ObservedRun noskip = smallCoRun(true, false);
+    EXPECT_FALSE(skip.decisionJson.empty());
     EXPECT_EQ(skip.decisionJson, noskip.decisionJson);
     expectStatsEqual(skip.result.stats, noskip.result.stats);
 }
@@ -489,10 +480,9 @@ TEST(ObsProfiler, CountsTicksAndAttributesHorizons)
     prof.harvest(gpu);
 
     EXPECT_GT(prof.ticks(), 0u);
-    // Every simulated cycle is either a full epoch, part of a bulk
-    // skip, or part of a fused multi-cycle epoch.
-    EXPECT_EQ(gpu.cycle(), prof.ticks() + prof.skippedCycles() +
-                               prof.fusedCycles());
+    // Every simulated cycle is either a full tick or part of a bulk
+    // skip.
+    EXPECT_EQ(gpu.cycle(), prof.ticks() + prof.skippedCycles());
     std::uint64_t caps = 0;
     for (unsigned c = 0;
          c < static_cast<unsigned>(HorizonCap::NumCaps); ++c)
@@ -511,7 +501,7 @@ TEST(ObsProfiler, CountsTicksAndAttributesHorizons)
 
 TEST(ObsDecisionLog, RendererExplainsTheRecordedDecision)
 {
-    const ObservedRun run = smallCoRun(true, 1, true);
+    const ObservedRun run = smallCoRun(true, true);
     const JsonValue doc = parsed(run.decisionJson);
     EXPECT_EQ(doc.stringOr("schema", ""), "wslicer-decisions-v1");
     std::ostringstream os;

@@ -1,8 +1,7 @@
 /**
  * @file
- * Snapshot/restore engine tests: bit-identity of restored runs across
- * every engine variant (serial / 4 tick threads, clock skip on/off,
- * fused epochs ride along), the typed rejection of damaged or
+ * Snapshot/restore engine tests: bit-identity of restored runs with
+ * clock skipping on and off (and audited replay), the typed rejection of damaged or
  * mismatched snapshot files, warm-start co-run fan-out equivalence
  * (including decision-log replay), and checkpoint/resume through the
  * harness.
@@ -36,22 +35,15 @@ namespace {
 constexpr Cycle kWindow = 40000;
 constexpr Cycle kSplit = 17000;  //!< snapshot point mid-run
 
-/** An engine variant (bit-identical to every other by construction). */
-struct Variant
-{
-    bool clockSkip;
-    unsigned tickThreads;
-};
-
-const Variant kVariants[] = {
-    {true, 1}, {false, 1}, {true, 4}, {false, 4}};
+/** The engine variants: clock skipping on and off (bit-identical to
+ *  each other by construction). */
+const bool kClockSkipVariants[] = {true, false};
 
 GpuConfig
-variantConfig(const Variant &v)
+variantConfig(bool clock_skip)
 {
     GpuConfig cfg;
-    cfg.clockSkip = v.clockSkip;
-    cfg.tickThreads = v.tickThreads;
+    cfg.clockSkip = clock_skip;
     return cfg;
 }
 
@@ -129,8 +121,8 @@ tempPath(const std::string &name)
 
 TEST(Snapshot, RoundTripMatchesUninterruptedRun)
 {
-    for (const Variant &v : kVariants) {
-        const GpuConfig cfg = variantConfig(v);
+    for (const bool skip : kClockSkipVariants) {
+        const GpuConfig cfg = variantConfig(skip);
 
         auto cold = makeMachine(cfg);
         cold->run(kWindow);
@@ -163,7 +155,7 @@ TEST(Snapshot, PreemptAndResumeMatchesUninterrupted)
     // survivor, and later re-admit the preempted kernel by restoring
     // the checkpoint. The re-admitted run must land on final stats
     // byte-identical to a run that was never preempted.
-    const GpuConfig cfg = variantConfig({true, 1});
+    const GpuConfig cfg = variantConfig(true);
     auto makeTargeted = [&] {
         auto gpu = std::make_unique<Gpu>(
             cfg, std::make_unique<WarpedSlicerPolicy>(
@@ -213,15 +205,15 @@ TEST(Snapshot, PreemptAndResumeMatchesUninterrupted)
 
 TEST(Snapshot, RestoreCrossesEngineVariants)
 {
-    // Capture under the serial skipping engine, restore under every
-    // other variant: tick boundaries are variant-independent machine
-    // states, and the fingerprint canonicalizes the engine knobs.
-    auto donor = makeMachine(variantConfig({true, 1}));
+    // Capture under the skipping engine, restore with skipping on and
+    // off: tick boundaries are variant-independent machine states, and
+    // the fingerprint canonicalizes the engine knob.
+    auto donor = makeMachine(variantConfig(true));
     donor->run(kSplit);
     const std::vector<std::uint8_t> snap = saveSnapshot(*donor);
 
-    for (const Variant &v : kVariants) {
-        const GpuConfig cfg = variantConfig(v);
+    for (const bool skip : kClockSkipVariants) {
+        const GpuConfig cfg = variantConfig(skip);
         auto cold = makeMachine(cfg);
         cold->run(kWindow);
         const MachineDigest want = digest(*cold);
@@ -240,7 +232,7 @@ TEST(Snapshot, SegmentedRunsAndAuditedReplayMatch)
     // run(a); save; restore; run(b) chains compose arbitrarily, and a
     // bisection-style replay under --audit=1 reproduces the same
     // machine (audits are read-only).
-    const GpuConfig cfg = variantConfig({true, 1});
+    const GpuConfig cfg = variantConfig(true);
     auto cold = makeMachine(cfg);
     cold->run(kWindow);
     const MachineDigest want = digest(*cold);
@@ -271,13 +263,13 @@ TEST(Snapshot, SegmentedRunsAndAuditedReplayMatch)
 
 TEST(Snapshot, RejectsDamagedFiles)
 {
-    auto gpu = makeMachine(variantConfig({true, 1}));
+    auto gpu = makeMachine(variantConfig(true));
     gpu->run(5000);
     const std::vector<std::uint8_t> good = saveSnapshot(*gpu);
 
     auto fresh = [] {
         return std::make_unique<Gpu>(
-            variantConfig({true, 1}),
+            variantConfig(true),
             std::make_unique<WarpedSlicerPolicy>(
                 scaledSlicerOptions(kWindow)));
     };
@@ -309,12 +301,12 @@ TEST(Snapshot, RejectsDamagedFiles)
 
 TEST(Snapshot, RejectsMachineAndPolicyMismatches)
 {
-    auto gpu = makeMachine(variantConfig({true, 1}));
+    auto gpu = makeMachine(variantConfig(true));
     gpu->run(5000);
     const std::vector<std::uint8_t> snap = saveSnapshot(*gpu);
 
     // A simulated-machine parameter differs: refuse.
-    GpuConfig other = variantConfig({true, 1});
+    GpuConfig other = variantConfig(true);
     other.l1Size = 32 * 1024;
     Gpu other_gpu(other, std::make_unique<WarpedSlicerPolicy>(
                              scaledSlicerOptions(kWindow)));
@@ -322,13 +314,13 @@ TEST(Snapshot, RejectsMachineAndPolicyMismatches)
                          SnapshotError, "different machine");
 
     // Same machine, different policy: refuse.
-    Gpu wrong_policy(variantConfig({true, 1}),
+    Gpu wrong_policy(variantConfig(true),
                      std::make_unique<SpatialPolicy>());
     WSL_EXPECT_THROW_MSG(restoreSnapshot(wrong_policy, snap),
                          SnapshotError, "policy");
 
     // A machine that already ran is not a restore target.
-    auto used = makeMachine(variantConfig({true, 1}));
+    auto used = makeMachine(variantConfig(true));
     used->run(100);
     WSL_EXPECT_THROW_MSG(restoreSnapshot(*used, snap), SnapshotError,
                          "freshly constructed");
@@ -336,7 +328,7 @@ TEST(Snapshot, RejectsMachineAndPolicyMismatches)
 
 TEST(Snapshot, RefusesToCaptureWithTelemetryAttached)
 {
-    auto gpu = makeMachine(variantConfig({true, 1}));
+    auto gpu = makeMachine(variantConfig(true));
     TelemetrySampler sampler(TelemetryConfig{1000, 4096});
     gpu->attachTelemetry(&sampler);
     gpu->run(3000);
@@ -349,7 +341,7 @@ TEST(Snapshot, RefusesToCaptureWithTelemetryAttached)
 TEST(Snapshot, FileRoundTripAndProbe)
 {
     const std::string path = tempPath("wsl_test_snapshot.bin");
-    const GpuConfig cfg = variantConfig({true, 1});
+    const GpuConfig cfg = variantConfig(true);
 
     auto gpu = makeMachine(cfg);
     gpu->run(kSplit);
@@ -378,9 +370,9 @@ TEST(Snapshot, FileRoundTripAndProbe)
 
 TEST(Snapshot, EngineKnobsShareAFingerprint)
 {
-    const GpuConfig base = variantConfig({true, 1});
-    for (const Variant &v : kVariants) {
-        EXPECT_EQ(snapshotMachineFingerprint(variantConfig(v)),
+    const GpuConfig base = variantConfig(true);
+    for (const bool skip : kClockSkipVariants) {
+        EXPECT_EQ(snapshotMachineFingerprint(variantConfig(skip)),
                   snapshotMachineFingerprint(base));
     }
     GpuConfig audited = base;
@@ -437,7 +429,7 @@ TEST(Snapshot, WarmStartCoRunIsByteIdenticalToCold)
     const std::vector<KernelParams> apps = {benchmark("MM"),
                                             benchmark("LBM")};
     const std::vector<std::uint64_t> targets = {400000, 300000};
-    const GpuConfig cfg = variantConfig({true, 1});
+    const GpuConfig cfg = variantConfig(true);
 
     CoRunOptions cold_opts;
     cold_opts.maxCycles = kWindow;
@@ -479,7 +471,7 @@ TEST(Snapshot, CheckpointedRunResumesToIdenticalResult)
     const std::vector<KernelParams> apps = {benchmark("NN"),
                                             benchmark("HOT")};
     const std::vector<std::uint64_t> targets = {250000, 250000};
-    const GpuConfig cfg = variantConfig({true, 1});
+    const GpuConfig cfg = variantConfig(true);
 
     CoRunOptions cold_opts;
     cold_opts.maxCycles = kWindow;
@@ -518,7 +510,7 @@ TEST(Snapshot, PeriodicCheckpointsResumeFromLastEpoch)
     const std::vector<KernelParams> apps = {benchmark("MM"),
                                             benchmark("BFS")};
     const std::vector<std::uint64_t> targets = {300000, 200000};
-    const GpuConfig cfg = variantConfig({true, 1});
+    const GpuConfig cfg = variantConfig(true);
 
     CoRunOptions cold_opts;
     cold_opts.maxCycles = kWindow;
@@ -550,7 +542,7 @@ TEST(Snapshot, CheckpointOptionValidation)
 {
     const std::vector<KernelParams> apps = {benchmark("MM")};
     const std::vector<std::uint64_t> targets = {100000};
-    const GpuConfig cfg = variantConfig({true, 1});
+    const GpuConfig cfg = variantConfig(true);
 
     CoRunOptions opts;
     opts.maxCycles = 10000;

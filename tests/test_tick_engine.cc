@@ -1,24 +1,18 @@
 /**
  * @file
- * Tests for the deterministic intra-run parallel tick engine: TickPool
- * mechanics (sharding, dispatch, exception propagation), the ordered
- * interconnect merge, composition of tick threads with batch jobs, and
- * the headline determinism property — a micro-window co-run must be
- * bit-identical to the serial reference engine even when the pool's
- * test hook forces workers to finish out of order. Also covers the
- * addressing edge cases the merge relies on (lineAddr / partitionOf at
- * the top of the address space, non-power-of-two partition counts).
+ * Tests for the serial tick engine's plumbing: the ordered
+ * interconnect merge and its conservation counters, the datacenter
+ * preset, config validation of component counts and tickThreads, and
+ * the addressing edge cases the merge relies on (lineAddr /
+ * partitionOf at the top of the address space, non-power-of-two
+ * partition counts).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "check/access.hh"
@@ -27,8 +21,6 @@
 #include "expect_throw.hh"
 #include "gpu/gpu.hh"
 #include "gpu/staging.hh"
-#include "harness/parallel.hh"
-#include "harness/tick_pool.hh"
 #include "mem/partition.hh"
 #include "mem/request.hh"
 #include "sm/sm_core.hh"
@@ -36,213 +28,9 @@
 
 using namespace wsl;
 
-namespace {
-
-/** Exact counter-level equality via the canonical field lists. */
-void
-expectStatsEqual(const GpuStats &a, const GpuStats &b)
-{
-    SmStats::forEachField([&](const char *name, auto member) {
-        EXPECT_EQ(a.*member, b.*member) << "SmStats field " << name;
-    });
-    PartitionStats::forEachField([&](const char *name, auto member) {
-        EXPECT_EQ(a.*member, b.*member)
-            << "PartitionStats field " << name;
-    });
-}
-
-} // namespace
-
 // ---------------------------------------------------------------------
-// shardRange
+// The dc preset
 // ---------------------------------------------------------------------
-
-TEST(ShardRange, PartitionsIndexSpaceInOrder)
-{
-    for (std::size_t n : {0u, 1u, 5u, 16u, 17u, 1000u}) {
-        for (unsigned threads : {1u, 2u, 3u, 4u, 7u, 16u}) {
-            std::size_t expect_begin = 0;
-            for (unsigned t = 0; t < threads; ++t) {
-                auto [begin, end] = shardRange(n, t, threads);
-                EXPECT_EQ(begin, expect_begin)
-                    << "gap/overlap at n=" << n << " t=" << t;
-                EXPECT_LE(begin, end);
-                expect_begin = end;
-            }
-            EXPECT_EQ(expect_begin, n)
-                << "shards must cover all of [0, n)";
-        }
-    }
-}
-
-TEST(ShardRange, BalancedWithinOne)
-{
-    const std::size_t n = 16;
-    const unsigned threads = 5;
-    for (unsigned t = 0; t < threads; ++t) {
-        auto [begin, end] = shardRange(n, t, threads);
-        const std::size_t len = end - begin;
-        EXPECT_GE(len, n / threads);
-        EXPECT_LE(len, n / threads + 1);
-    }
-}
-
-// ---------------------------------------------------------------------
-// TickPool
-// ---------------------------------------------------------------------
-
-TEST(TickPool, RunsEveryWorkerExactlyOncePerDispatch)
-{
-    TickPool pool(4);
-    EXPECT_EQ(pool.threads(), 4u);
-    std::vector<std::atomic<int>> hits(4);
-    const std::function<void(unsigned)> fn = [&](unsigned t) {
-        hits[t].fetch_add(1, std::memory_order_relaxed);
-    };
-    constexpr int rounds = 200;
-    for (int i = 0; i < rounds; ++i)
-        pool.run(fn);
-    for (unsigned t = 0; t < 4; ++t)
-        EXPECT_EQ(hits[t].load(), rounds) << "worker " << t;
-}
-
-TEST(TickPool, SingleThreadDegeneratesToPlainCall)
-{
-    TickPool pool(1);
-    unsigned calls = 0;
-    pool.run([&](unsigned t) {
-        EXPECT_EQ(t, 0u);
-        ++calls;
-    });
-    EXPECT_EQ(calls, 1u);
-}
-
-TEST(TickPool, LowestWorkerIndexExceptionWins)
-{
-    TickPool pool(4);
-    // Workers 1 and 3 both throw; the serial loop would have hit
-    // worker 1's shard first, so that is the error run() must rethrow.
-    WSL_EXPECT_THROW_MSG(
-        pool.run([](unsigned t) {
-            if (t == 1)
-                throw std::runtime_error("boom from worker 1");
-            if (t == 3)
-                throw std::runtime_error("boom from worker 3");
-        }),
-        std::runtime_error, "worker 1");
-    // The pool stays usable after an exceptional round.
-    std::atomic<unsigned> ok{0};
-    pool.run([&](unsigned) { ok.fetch_add(1); });
-    EXPECT_EQ(ok.load(), 4u);
-}
-
-// ---------------------------------------------------------------------
-// composeTickThreads
-// ---------------------------------------------------------------------
-
-TEST(ComposeTickThreads, SerialTickEngineIsUntouched)
-{
-    EXPECT_EQ(composeTickThreads(1, 1), 1u);
-    EXPECT_EQ(composeTickThreads(8, 1), 1u);
-    EXPECT_EQ(composeTickThreads(0, 0), 1u);
-}
-
-TEST(ComposeTickThreads, SingleJobKeepsFullTickCount)
-{
-    // jobs <= 1 means no outer parallelism: the run gets its tick
-    // threads un-clamped regardless of the host's core count.
-    EXPECT_EQ(composeTickThreads(1, 4), 4u);
-    EXPECT_EQ(composeTickThreads(0, 8), 8u);
-}
-
-TEST(ComposeTickThreads, ComposedCountNeverOversubscribes)
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    for (unsigned jobs : {2u, 4u, 8u, 64u}) {
-        for (unsigned tick : {2u, 4u, 8u}) {
-            const unsigned got = composeTickThreads(jobs, tick);
-            EXPECT_GE(got, 1u);
-            EXPECT_LE(got, tick);
-            if (hw > 0) {
-                // jobs x tickThreads stays within the machine (each
-                // factor alone may already saturate it).
-                EXPECT_LE(static_cast<std::uint64_t>(got) * jobs,
-                          static_cast<std::uint64_t>(
-                              std::max(hw, jobs)));
-                if (jobs >= hw) {
-                    EXPECT_EQ(got, 1u);
-                }
-            } else {
-                EXPECT_EQ(got, 1u);
-            }
-        }
-    }
-}
-
-TEST(ComposeTickThreads, ClampNeverLeavesStarvedPool)
-{
-    // A clamp that would hand a run a starved pool (fewer than 3
-    // threads, where dispatch + barrier cost beats the sharding win)
-    // must degrade the whole way to the serial engine instead. The
-    // composition may return the full request (it fit), the serial
-    // engine, or a pool of at least 3 threads — never a clamped 2.
-    for (unsigned jobs : {2u, 3u, 4u, 8u, 64u}) {
-        for (unsigned tick : {2u, 4u, 8u}) {
-            const unsigned got = composeTickThreads(jobs, tick);
-            EXPECT_TRUE(got == tick || got == 1u || got >= 3u)
-                << "starved pool: jobs=" << jobs << " tick=" << tick
-                << " -> " << got;
-        }
-    }
-}
-
-TEST(ComposeTickThreads, DegradationsAreCounted)
-{
-    // jobs=4096 saturates any real machine, so the request must
-    // degrade to serial and the degradation counter (exported through
-    // the registry as wsl_tick_threads_degraded) must tick up.
-    const std::uint64_t before = tickThreadDegradations();
-    EXPECT_EQ(composeTickThreads(4096, 8), 1u);
-    EXPECT_GT(tickThreadDegradations(), before);
-    // Untouched requests do not count as degradations.
-    const std::uint64_t mid = tickThreadDegradations();
-    EXPECT_EQ(composeTickThreads(1, 4), 4u);
-    EXPECT_EQ(tickThreadDegradations(), mid);
-}
-
-// ---------------------------------------------------------------------
-// Adaptive engine selection (tickThreads = auto) and the dc preset
-// ---------------------------------------------------------------------
-
-TEST(AutoTickThreads, ScalesWithWorkAndHardware)
-{
-    // One pool thread per ~16 SMs, capped by the hardware, and never a
-    // 1-thread pool (that is just the serial engine with overhead).
-    EXPECT_EQ(GpuConfig::autoTickThreads(128, 8), 8u);
-    EXPECT_EQ(GpuConfig::autoTickThreads(128, 16), 8u);
-    EXPECT_EQ(GpuConfig::autoTickThreads(64, 8), 4u);
-    EXPECT_EQ(GpuConfig::autoTickThreads(64, 2), 2u);
-    // Too little work or too little hardware: serial engine.
-    EXPECT_EQ(GpuConfig::autoTickThreads(16, 8), 1u);
-    EXPECT_EQ(GpuConfig::autoTickThreads(128, 1), 1u);
-    EXPECT_EQ(GpuConfig::autoTickThreads(128, 0), 1u);
-}
-
-TEST(AutoTickThreads, GpuResolvesSentinelBeforeRunning)
-{
-    GpuConfig cfg = GpuConfig::baseline();
-    cfg.tickThreads = GpuConfig::tickThreadsAuto;
-    Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
-    // The sentinel never survives construction: the resolved config is
-    // a concrete thread count consistent with this host.
-    const unsigned resolved = gpu.config().tickThreads;
-    EXPECT_NE(resolved, GpuConfig::tickThreadsAuto);
-    EXPECT_EQ(resolved,
-              GpuConfig::autoTickThreads(
-                  cfg.numSms, std::thread::hardware_concurrency()));
-    gpu.launchKernel(benchmark("MM"));
-    EXPECT_NO_THROW(gpu.run(500));
-}
 
 TEST(DcPreset, ValidatesAndRunsAWindow)
 {
@@ -351,92 +139,9 @@ TEST(InterconnectStage, BackpressureKeepsRefusedRequestsInOrder)
     EXPECT_TRUE(sm1.outgoingRequests().empty());
 }
 
-// ---------------------------------------------------------------------
-// Bit-identity under forced out-of-order worker completion
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct MicroRun
-{
-    Cycle cycles = 0;
-    std::uint64_t insts = 0;
-    GpuStats stats;
-    std::uint64_t routed = 0;
-    std::uint64_t delivered = 0;
-};
-
-/** Run `bench` alone for `window` cycles at `tick_threads`, optionally
- *  installing a worker delay inverse to the worker index so higher
- *  workers finish first (the worst case for a naive merge). */
-MicroRun
-microWindow(const char *bench, Cycle window, unsigned tick_threads,
-            bool scramble)
+TEST(InterconnectStage, StagingConservationHoldsAfterRun)
 {
     GpuConfig cfg = GpuConfig::baseline();
-    cfg.tickThreads = tick_threads;
-    Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
-    if (scramble) {
-        TickPool *pool = gpu.tickPool();
-        if (pool) {
-            const unsigned threads = pool->threads();
-            pool->setWorkerDelayForTest([threads](unsigned t) {
-                // Worker 0 (the caller, lowest shard) sleeps longest:
-                // completions arrive in reverse index order.
-                std::this_thread::sleep_for(std::chrono::microseconds(
-                    (threads - 1 - t) * 50));
-            });
-        }
-    }
-    const KernelId kid = gpu.launchKernel(benchmark(bench));
-    gpu.run(window);
-    MicroRun out;
-    out.cycles = gpu.cycle();
-    out.insts = gpu.kernelThreadInsts(kid);
-    out.stats = gpu.collectStats();
-    out.routed = gpu.interconnect().routedRequests();
-    out.delivered = gpu.interconnect().deliveredResponses();
-    return out;
-}
-
-void
-expectMicroRunsEqual(const MicroRun &serial, const MicroRun &parallel)
-{
-    EXPECT_EQ(serial.cycles, parallel.cycles);
-    EXPECT_EQ(serial.insts, parallel.insts);
-    expectStatsEqual(serial.stats, parallel.stats);
-}
-
-} // namespace
-
-TEST(TickEngineDeterminism, MmMicroWindowMatchesSerialReference)
-{
-    const Cycle window = 3000;
-    const MicroRun serial = microWindow("MM", window, 1, false);
-    const MicroRun parallel = microWindow("MM", window, 4, true);
-    expectMicroRunsEqual(serial, parallel);
-    // A scrambled parallel run routes the same traffic through the
-    // ordered stage that the serial engine pushed directly.
-    EXPECT_GT(parallel.routed, 0u);
-    EXPECT_EQ(parallel.routed, serial.routed);
-    EXPECT_EQ(parallel.delivered, serial.delivered);
-}
-
-TEST(TickEngineDeterminism, LbmMicroWindowMatchesSerialReference)
-{
-    const Cycle window = 3000;
-    const MicroRun serial = microWindow("LBM", window, 1, false);
-    const MicroRun parallel = microWindow("LBM", window, 4, true);
-    expectMicroRunsEqual(serial, parallel);
-    EXPECT_GT(parallel.routed, 0u);
-    EXPECT_EQ(parallel.routed, serial.routed);
-    EXPECT_EQ(parallel.delivered, serial.delivered);
-}
-
-TEST(TickEngineDeterminism, StagingConservationHoldsAfterRun)
-{
-    GpuConfig cfg = GpuConfig::baseline();
-    cfg.tickThreads = 3;  // deliberately not a divisor of 16 SMs
     cfg.auditCadence = 1; // audit (incl. staging check) every cycle
     Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(benchmark("LBM"));
@@ -517,9 +222,13 @@ TEST(ConfigValidate, RejectsOutOfRangeComponentCounts)
     WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "numSms");
 }
 
-TEST(ConfigValidate, RejectsZeroTickThreads)
+TEST(ConfigValidate, RejectsAnyTickThreadsOtherThanOne)
 {
     GpuConfig cfg = GpuConfig::baseline();
-    cfg.tickThreads = 0;
-    WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "tickThreads");
+    EXPECT_EQ(cfg.tickThreads, 1u);
+    EXPECT_NO_THROW(cfg.validate());
+    for (unsigned threads : {0u, 2u, 4u, ~0u}) {
+        cfg.tickThreads = threads;
+        WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "tickThreads");
+    }
 }

@@ -108,9 +108,6 @@ struct Options
     unsigned chaosFaults = 6;
     std::string sloPath;          //!< SLO JSON report
     unsigned jobs = defaultJobs();  //!< worker threads (WSL_JOBS)
-    /** Intra-run tick threads (WSL_TICK_THREADS); composed against
-     *  --jobs by the batch paths so the two never oversubscribe. */
-    unsigned tickThreads = defaultTickThreads();
 };
 
 [[noreturn]] void
@@ -121,14 +118,11 @@ usage(const char *argv0)
                  "corun B1 B2 [B3] | combos B1 B2 | serve [options]\n"
                  "options: --cycles N --window N --ctas Q --large\n"
                  "         --preset baseline|large|dc (dc: 128 SMs / "
-                 "32 partitions, engine-scaling machine)\n"
+                 "32 partitions)\n"
                  "         --policy leftover|spatial|even|dynamic|"
                  "fixed:Q1,Q2[,Q3]\n"
                  "         --sched gto|lrr --csv FILE --json FILE --trace FILE\n"
                  "         --stats-interval N --timeline FILE --jobs N\n"
-                 "         --tick-threads N|auto (shard each run's "
-                 "SM/partition ticks over N threads; bit-identical; "
-                 "auto picks serial vs pooled from the machine)\n"
                  "         --no-skip (disable event-horizon clock "
                  "skipping; bit-identical, slower)\n"
                  "         --audit[=N] (run integrity audits every N "
@@ -224,12 +218,6 @@ parseArgs(int argc, char **argv)
                 std::strtoull(next().c_str(), nullptr, 10);
         else if (arg == "--jobs")
             opt.jobs = parseJobs(next().c_str(), "--jobs");
-        else if (arg == "--tick-threads") {
-            const std::string v = next();
-            opt.tickThreads =
-                v == "auto" ? GpuConfig::tickThreadsAuto
-                            : parseJobs(v.c_str(), "--tick-threads");
-        }
         else if (arg == "--rate")
             opt.rate = std::strtod(next().c_str(), nullptr);
         else if (arg == "--closed-loop")
@@ -286,7 +274,6 @@ makeConfig(const Options &opt)
     cfg.clockSkip = !opt.noSkip;
     cfg.auditCadence = opt.auditCadence;
     cfg.watchdogCycles = opt.watchdogCycles;
-    cfg.tickThreads = opt.tickThreads;
     // Fail here with an actionable message, not deep in construction.
     cfg.validate();
     return cfg;
