@@ -81,8 +81,11 @@ struct AuditAccess
     static const std::vector<std::vector<std::uint16_t>> &
     schedLists(const SmCore &sm) { return sm.schedLists; }
 
-    static const std::vector<std::uint64_t> &
-    schedListMask(const SmCore &sm) { return sm.schedListMask; }
+    /** Scheduler `sched`'s warp-slot mask (mirrors its list). */
+    static std::uint64_t schedListMask(const SmCore &sm, unsigned sched)
+    {
+        return sm.scheds[sched].listMask;
+    }
 
     static const std::array<std::uint64_t, maxConcurrentKernels> &
     kernelWarpMask(const SmCore &sm) { return sm.kernelWarpMask; }
@@ -116,18 +119,12 @@ struct AuditAccess
         return sm.activeLoads;
     }
 
-    /** Live entry counts of the three timing wheels. */
-    static unsigned wbWheelCount(const SmCore &sm)
+    /** The three timing wheels: writeback, L1-hit, i-buffer refill. */
+    static const auto &wbWheel(const SmCore &sm) { return sm.wbWheel; }
+    static const auto &memWheel(const SmCore &sm) { return sm.memWheel; }
+    static const auto &fetchWheel(const SmCore &sm)
     {
-        return sm.wbWheelCount;
-    }
-    static unsigned memWheelCount(const SmCore &sm)
-    {
-        return sm.memWheelCount;
-    }
-    static unsigned fetchWheelCount(const SmCore &sm)
-    {
-        return sm.fetchWheelCount;
+        return sm.fetchWheel;
     }
 
     /** Union of writeback regMasks pending for (warp, epoch). */
@@ -136,10 +133,12 @@ struct AuditAccess
                   std::uint32_t epoch)
     {
         std::uint32_t mask = 0;
-        for (const auto &slot : sm.wbWheel)
-            for (const auto &e : slot)
+        for (unsigned slot = 0; slot < sm.wbWheel.slots; ++slot) {
+            sm.wbWheel.forEachIn(slot, [&](const auto &e) {
                 if (e.warp == widx && e.epoch == epoch)
                     mask |= e.regMask;
+            });
+        }
         return mask;
     }
 

@@ -4,7 +4,8 @@
  * of cached accounting from the ground-truth state it summarizes:
  * allocator sums from CTA allocations, MSHR occupancy from in-flight
  * load transactions, scoreboard bits from pending writebacks, the
- * SM readiness bitmasks from a per-warp scan, and queue
+ * SM readiness bitmasks from a per-warp scan, timing-wheel counts and
+ * occupancy bits from their slot lists, and queue
  * conservation from accepted/serviced counters. A divergence means a
  * fast path drifted from the state it mirrors — exactly the class of
  * bug that silently corrupts sweep results.
@@ -139,15 +140,15 @@ checkSmMshrs(const Gpu &gpu, std::vector<std::string> &out)
             }
             tokens += waiters.size();
         }
-        const std::uint64_t accounted =
-            tokens + AuditAccess::memWheelCount(sm);
+        const std::size_t memWheel = AuditAccess::memWheel(sm).size();
+        const std::uint64_t accounted = tokens + memWheel;
         if (transLeft != accounted) {
             out.push_back(
                 "SM " + std::to_string(s) +
                 ": outstanding load transactions " +
                 std::to_string(transLeft) + " != L1 MSHR waiters " +
                 std::to_string(tokens) + " + mem-wheel entries " +
-                std::to_string(AuditAccess::memWheelCount(sm)));
+                std::to_string(memWheel));
         }
     }
 }
@@ -383,19 +384,61 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
                 out.push_back(os.str());
             }
         }
-        const auto &listMask = AuditAccess::schedListMask(sm);
-        for (std::size_t sc = 0; sc < lists.size(); ++sc) {
+        for (unsigned sc = 0; sc < lists.size(); ++sc) {
             std::uint64_t expectMask = 0;
             for (std::uint16_t widx : lists[sc])
                 expectMask |= std::uint64_t{1} << widx;
-            if (listMask[sc] != expectMask) {
+            const std::uint64_t listMask =
+                AuditAccess::schedListMask(sm, sc);
+            if (listMask != expectMask) {
                 std::ostringstream os;
                 os << "SM " << s << ": schedListMask[" << sc << "] 0x"
-                   << std::hex << listMask[sc] << " != list contents 0x"
+                   << std::hex << listMask << " != list contents 0x"
                    << expectMask;
                 out.push_back(os.str());
             }
         }
+    }
+}
+
+/** One wheel's bookkeeping against a walk of its slot lists. */
+template <typename Wheel>
+void
+checkWheel(unsigned s, const char *name, const Wheel &wheel,
+           std::vector<std::string> &out)
+{
+    std::size_t entries = 0;
+    for (unsigned slot = 0; slot < wheel.slots; ++slot) {
+        const std::size_t len = wheel.slotSize(slot);
+        entries += len;
+        if (wheel.occupied(slot) != (len != 0)) {
+            out.push_back("SM " + std::to_string(s) + ": " + name +
+                          " wheel slot " + std::to_string(slot) +
+                          " holds " + std::to_string(len) +
+                          " entries but its occupancy bit is " +
+                          (wheel.occupied(slot) ? "set" : "clear"));
+        }
+    }
+    if (entries != wheel.size()) {
+        out.push_back("SM " + std::to_string(s) + ": " + name +
+                      " wheel size " + std::to_string(wheel.size()) +
+                      " != slot-list total " + std::to_string(entries));
+    }
+}
+
+/**
+ * Timing-wheel bookkeeping: each wheel's entry count equals the sum of
+ * its slot lengths, and a slot's occupancy bit (what nextEventAt reads
+ * to find the next firing slot) is set exactly when it is non-empty.
+ */
+void
+checkSmWheels(const Gpu &gpu, std::vector<std::string> &out)
+{
+    for (unsigned s = 0; s < gpu.numSms(); ++s) {
+        const SmCore &sm = gpu.sm(s);
+        checkWheel(s, "writeback", AuditAccess::wbWheel(sm), out);
+        checkWheel(s, "L1-hit", AuditAccess::memWheel(sm), out);
+        checkWheel(s, "fetch", AuditAccess::fetchWheel(sm), out);
     }
 }
 
@@ -534,6 +577,7 @@ Auditor::Auditor(Cycle cadence, bool with_standard_checks)
     registerCheck("sm-scoreboard", checkSmScoreboard);
     registerCheck("sm-barrier", checkSmBarriers);
     registerCheck("sm-masks", checkSmMasks);
+    registerCheck("sm-wheels", checkSmWheels);
     registerCheck("mem-conservation", checkPartitionConservation);
     registerCheck("staging-conservation", checkStagingConservation);
     registerCheck("kernel-accounting", checkKernelAccounting);

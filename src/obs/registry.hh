@@ -3,13 +3,12 @@
  * Unified counter/gauge registry. The simulator has grown ad-hoc
  * counters in every layer — SmStats/PartitionStats structs, the solo
  * cache's hit/miss atomics, the interconnect stage's conservation
- * totals, the auditor's audit count, the tick pool's epoch/park
- * telemetry — each with its own accessor and none exportable in a
- * standard format. The registry absorbs them behind one pull-model
- * interface: subsystems register *providers* (callbacks that append
- * current samples), and the exporters walk the providers only when a
- * dump is requested. A registry that is never exported costs nothing
- * at simulation time.
+ * totals, the auditor's audit count — each with its own accessor and
+ * none exportable in a standard format. The registry absorbs them
+ * behind one pull-model interface: subsystems register *providers*
+ * (callbacks that append current samples), and the exporters walk the
+ * providers only when a dump is requested. A registry that is never
+ * exported costs nothing at simulation time.
  *
  * Exporters: Prometheus text exposition format (one `# TYPE` line per
  * metric family, labels rendered inline) and a flat JSON object

@@ -4,11 +4,16 @@
 #include <bit>
 #include <utility>
 
+#include "common/bits.hh"
 #include "common/log.hh"
 
 namespace wsl {
 
 namespace {
+
+/** L1 MSHRs in use at or above which the LDST unit counts as busy
+ *  under memory-system backpressure, matching GPGPU-Sim's accounting. */
+constexpr unsigned ldstPressureMshrs = 8;
 
 /** Bit for an architectural register in a scoreboard mask. */
 inline std::uint32_t
@@ -89,11 +94,7 @@ SmCore::SmCore(const GpuConfig &c, SmId id)
     for (unsigned w = 0; w < warps.size(); ++w)
         freeWarpSlots.push_back(static_cast<std::uint16_t>(w));
     schedLists.resize(cfg.numSchedulers);
-    schedListMask.assign(cfg.numSchedulers, 0);
-    lastIssued.assign(cfg.numSchedulers, -1);
-    rrPos.assign(cfg.numSchedulers, 0);
-    aluBusyUntil.assign(cfg.numSchedulers, 0);
-    scanCache.resize(cfg.numSchedulers);
+    scheds.resize(cfg.numSchedulers);
     quotas.fill(-1);
     // Staging/bookkeeping buffers grow once here, not on the tick hot
     // path: outRequests is bounded by the L1 miss queue, respQueue by
@@ -163,7 +164,7 @@ SmCore::launchCta(KernelId kid, const KernelParams &params,
         w.age = ageCounter++;
         cta.warpIdxs.push_back(widx);
         schedLists[widx % cfg.numSchedulers].push_back(widx);
-        schedListMask[widx % cfg.numSchedulers] |=
+        scheds[widx % cfg.numSchedulers].listMask |=
             std::uint64_t{1} << widx;
         kernelWarpMask[kid] |= std::uint64_t{1} << widx;
         fetchQueue.push({widx, w.epoch});
@@ -241,7 +242,7 @@ SmCore::evictKernel(KernelId kid)
                                [&](std::uint16_t w) {
                                    if (hot[w].active)
                                        return false;
-                                   schedListMask[s] &=
+                                   scheds[s].listMask &=
                                        ~(std::uint64_t{1} << w);
                                    return true;
                                }),
@@ -391,7 +392,7 @@ SmCore::finishWarp(std::uint16_t widx)
     // slots every cycle until the whole CTA retires.
     auto &list = schedLists[widx % cfg.numSchedulers];
     list.erase(std::find(list.begin(), list.end(), widx));
-    schedListMask[widx % cfg.numSchedulers] &=
+    scheds[widx % cfg.numSchedulers].listMask &=
         ~(std::uint64_t{1} << widx);
     kernelWarpMask[warps[widx].kernel] &= ~(std::uint64_t{1} << widx);
     invalidateScanCache();
@@ -467,7 +468,7 @@ SmCore::tryIssue(std::uint16_t widx, unsigned sched, Cycle now)
 
     switch (unitOf(inst.op)) {
       case UnitKind::Alu:
-        if (aluBusyUntil[sched] > now)
+        if (scheds[sched].aluBusyUntil > now)
             return IssueOutcome::ExecBusy;
         break;
       case UnitKind::Sfu:
@@ -515,10 +516,9 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
     // structural state — the SFU/LDST busy horizons, MSHRs, and the
     // outgoing queue — so their memoized failed scans survive pure-ALU
     // and control issues; the SFU and LDST cases below invalidate all.
-    scanCache[sched].valid = false;
+    scheds[sched].memo.valid = false;
 
-    const unsigned live_lanes =
-        static_cast<unsigned>(std::popcount(h.activeMask));
+    const unsigned live_lanes = popcount64(h.activeMask);
     ++smStats.warpInstsIssued;
     smStats.threadInstsIssued += live_lanes;
     ++smStats.kernelWarpInsts[w.kernel];
@@ -531,13 +531,11 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
     const std::uint32_t dst_bit = regBit(inst.dst);
     switch (unitOf(inst.op)) {
       case UnitKind::Alu: {
-        aluBusyUntil[sched] = now + cfg.aluInitiation;
+        scheds[sched].aluBusyUntil = now + cfg.aluInitiation;
         smStats.aluBusyCycles += cfg.aluInitiation;
         if (dst_bit) {
             h.pendingShort |= dst_bit;
-            wbWheel[(now + cfg.aluLatency) % wheelSize].push_back(
-                {widx, w.epoch, dst_bit});
-            ++wbWheelCount;
+            wbWheel.push(now + cfg.aluLatency, {widx, w.epoch, dst_bit});
         }
         break;
       }
@@ -547,9 +545,7 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
         smStats.sfuBusyCycles += cfg.sfuInitiation;
         if (dst_bit) {
             h.pendingShort |= dst_bit;
-            wbWheel[(now + cfg.sfuLatency) % wheelSize].push_back(
-                {widx, w.epoch, dst_bit});
-            ++wbWheelCount;
+            wbWheel.push(now + cfg.sfuLatency, {widx, w.epoch, dst_bit});
         }
         break;
       }
@@ -569,9 +565,8 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
             ++smStats.shmAccesses;
             if (dst_bit) {
                 h.pendingShort |= dst_bit;
-                wbWheel[(now + cfg.shmLatency * conflict) % wheelSize]
-                    .push_back({widx, w.epoch, dst_bit});
-                ++wbWheelCount;
+                wbWheel.push(now + cfg.shmLatency * conflict,
+                             {widx, w.epoch, dst_bit});
             }
             break;
         }
@@ -592,9 +587,7 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
                 ++smStats.l1Accesses;
                 switch (l1.read(line, entry)) {
                   case Cache::ReadResult::Hit:
-                    memWheel[(now + cfg.l1HitLatency) % wheelSize]
-                        .push_back(entry);
-                    ++memWheelCount;
+                    memWheel.push(now + cfg.l1HitLatency, entry);
                     break;
                   case Cache::ReadResult::MissNew:
                     ++smStats.l1Misses;
@@ -684,15 +677,16 @@ SmCore::chargeStall(StallKind kind, int culprit, Cycle count)
 void
 SmCore::runScheduler(unsigned sched, Cycle now)
 {
-    auto &list = schedLists[sched];
-    if (list.empty()) {
+    SchedulerState &sc = scheds[sched];
+    const std::uint64_t live = sc.listMask;
+    if (live == 0) {
         chargeStall(StallKind::Idle, invalidKernel);
         return;
     }
 
     // Replay a memoized failed scan while nothing changed: same warps,
     // same blockers, same majority stall, same culprit kernel.
-    ScanCacheEntry &memo = scanCache[sched];
+    ScanCacheEntry &memo = sc.memo;
     if (memo.valid && now < memo.validUntil) {
         ++engineScanMemoHits;
         chargeStall(memo.kind, memo.culprit);
@@ -711,13 +705,12 @@ SmCore::runScheduler(unsigned sched, Cycle now)
     // no longer depends on scan order, and phase 2 fills in every
     // other warp's outcome from the masks.
     std::uint64_t busyBlocked = 0;
-    if (aluBusyUntil[sched] > now)
+    if (sc.aluBusyUntil > now)
         busyBlocked |= aluNextMask;
     if (sfuBusyUntil > now)
         busyBlocked |= sfuNextMask;
     if (ldstBusyUntil > now)
         busyBlocked |= ldstNextMask;
-    const std::uint64_t live = schedListMask[sched];
     const std::uint64_t clean =
         issuableMask & ~memBlockedMask & ~shortBlockedMask;
     std::uint64_t rest = live & clean & ~busyBlocked;
@@ -731,7 +724,7 @@ SmCore::runScheduler(unsigned sched, Cycle now)
         // fall back to the oldest ready warp. The list is kept in
         // launch-age order, so popping candidates by age visits them
         // exactly as a walk of the list would.
-        const int greedy = lastIssued[sched];
+        const int greedy = sc.lastIssued;
         if (greedy >= 0 && ((rest >> greedy) & 1)) {
             const std::uint64_t bit = std::uint64_t{1} << greedy;
             rest &= ~bit;
@@ -756,15 +749,16 @@ SmCore::runScheduler(unsigned sched, Cycle now)
             const IssueOutcome o = tryIssue(
                 static_cast<std::uint16_t>(oldest), sched, now);
             if (o == IssueOutcome::Issued) {
-                lastIssued[sched] = static_cast<int>(oldest);
+                sc.lastIssued = static_cast<int>(oldest);
                 return;
             }
             outcome[static_cast<unsigned>(o)] |= bit;
         }
     } else if (rest != 0) {
         // Loose round robin over the resident warps.
+        const auto &list = schedLists[sched];
         const unsigned n = static_cast<unsigned>(list.size());
-        const unsigned start = rrPos[sched] % n;
+        const unsigned start = sc.rrPos % n;
         for (unsigned i = 0; i < n; ++i) {
             const unsigned pos = (start + i) % n;
             const std::uint16_t widx = list[pos];
@@ -772,8 +766,8 @@ SmCore::runScheduler(unsigned sched, Cycle now)
                 continue;
             const IssueOutcome o = tryIssue(widx, sched, now);
             if (o == IssueOutcome::Issued) {
-                lastIssued[sched] = widx;
-                rrPos[sched] = pos + 1;
+                sc.lastIssued = widx;
+                sc.rrPos = pos + 1;
                 return;
             }
             outcome[static_cast<unsigned>(o)] |= std::uint64_t{1} << widx;
@@ -803,10 +797,10 @@ SmCore::runScheduler(unsigned sched, Cycle now)
         StallKind::ExecResource, StallKind::IBufferEmpty,
         StallKind::Barrier};
     unsigned best = 0;
-    int bestCount = 0;
+    unsigned bestCount = 0;
     for (unsigned i = 0; i < 5; ++i) {
-        const int c = std::popcount(
-            outcome[static_cast<unsigned>(order[i])]);
+        const unsigned c =
+            popcount64(outcome[static_cast<unsigned>(order[i])]);
         if (c > bestCount) {
             best = i;
             bestCount = c;
@@ -820,9 +814,9 @@ SmCore::runScheduler(unsigned sched, Cycle now)
         // the lower kernel id.
         const std::uint64_t charged =
             outcome[static_cast<unsigned>(order[best])];
-        int most = 0;
+        unsigned most = 0;
         for (unsigned k = 0; k < maxConcurrentKernels; ++k) {
-            const int c = std::popcount(charged & kernelWarpMask[k]);
+            const unsigned c = popcount64(charged & kernelWarpMask[k]);
             if (c > most) {
                 most = c;
                 culprit = static_cast<int>(k);
@@ -834,8 +828,8 @@ SmCore::runScheduler(unsigned sched, Cycle now)
     // Memoize until an event or a pipeline busy-until horizon could
     // change some warp's issue outcome.
     Cycle horizon = ~Cycle{0};
-    if (aluBusyUntil[sched] > now)
-        horizon = std::min(horizon, aluBusyUntil[sched]);
+    if (sc.aluBusyUntil > now)
+        horizon = std::min(horizon, sc.aluBusyUntil);
     if (sfuBusyUntil > now)
         horizon = std::min(horizon, sfuBusyUntil);
     if (ldstBusyUntil > now)
@@ -866,9 +860,7 @@ SmCore::runFetch(Cycle now)
             miss ? cfg.ifetchMissLatency : cfg.fetchLatency;
         w.fetchPending = true;
         w.fetchReadyAt = now + lat;
-        fetchWheel[(now + lat) % wheelSize].push_back(
-            {entry.warp, entry.epoch});
-        ++fetchWheelCount;
+        fetchWheel.push(now + lat, {entry.warp, entry.epoch});
         ++smStats.ifetches;
         if (miss)
             ++smStats.ifetchMisses;
@@ -894,54 +886,38 @@ SmCore::tick(Cycle now)
     // access or backpressured by the memory system (queue buildup or
     // substantial MSHR occupancy), matching GPGPU-Sim's accounting.
     if (ldstBusyUntil > now || !outRequests.empty() ||
-        l1.mshrsInUse() >= 8) {
+        l1.mshrsInUse() >= ldstPressureMshrs) {
         ++smStats.ldstBusyCycles;
         if (recordTelemetry && ldstOwner != invalidKernel)
             ++smStats.kernelLdstBusyCycles[ldstOwner];
     }
 
-    // Timing wheels: the pending counters skip the slot probe (a
-    // cache-line touch each) while a wheel is globally empty.
-    if (wbWheelCount != 0) {
-        // Writeback wheel: retire short-latency results.
-        auto &wb = wbWheel[now % wheelSize];
-        wbWheelCount -= static_cast<unsigned>(wb.size());
-        for (const WbEntry &e : wb) {
-            if (warps[e.warp].epoch == e.epoch) {
-                hot[e.warp].pendingShort &= ~e.regMask;
-                updateIssuable(e.warp);
-                invalidateScanCache();  // a ShortWait warp may be ready
-            }
+    // Writeback wheel: retire short-latency results.
+    wbWheel.drain(now, [&](const WbEntry &e) {
+        if (warps[e.warp].epoch == e.epoch) {
+            hot[e.warp].pendingShort &= ~e.regMask;
+            updateIssuable(e.warp);
+            invalidateScanCache();  // a ShortWait warp may be ready
         }
-        wb.clear();
-    }
+    });
 
-    if (fetchWheelCount != 0) {
-        // Instruction-buffer refills completing this cycle.
-        auto &fetch_done = fetchWheel[now % wheelSize];
-        fetchWheelCount -= static_cast<unsigned>(fetch_done.size());
-        for (const FetchEntry &e : fetch_done) {
-            WarpState &w = warps[e.warp];
-            WarpHot &h = hot[e.warp];
-            if (h.active && !h.finished && w.epoch == e.epoch &&
-                w.fetchPending && w.fetchReadyAt <= now) {
-                w.fetchPending = false;
-                h.ibuf = cfg.ibufferEntries;
-                updateIssuable(e.warp);
-                invalidateScanCache();  // Empty flips to issuable
-            }
+    // Instruction-buffer refills completing this cycle.
+    fetchWheel.drain(now, [&](const FetchEntry &e) {
+        WarpState &w = warps[e.warp];
+        WarpHot &h = hot[e.warp];
+        if (h.active && !h.finished && w.epoch == e.epoch &&
+            w.fetchPending && w.fetchReadyAt <= now) {
+            w.fetchPending = false;
+            h.ibuf = cfg.ibufferEntries;
+            updateIssuable(e.warp);
+            invalidateScanCache();  // Empty flips to issuable
         }
-        fetch_done.clear();
-    }
+    });
 
-    if (memWheelCount != 0) {
-        // L1-hit load transactions maturing this cycle.
-        auto &mem_wb = memWheel[now % wheelSize];
-        memWheelCount -= static_cast<unsigned>(mem_wb.size());
-        for (std::uint16_t load_idx : mem_wb)
-            completeLoadTransaction(load_idx, now);
-        mem_wb.clear();
-    }
+    // L1-hit load transactions maturing this cycle.
+    memWheel.drain(now, [&](std::uint16_t load_idx) {
+        completeLoadTransaction(load_idx, now);
+    });
 
     // Line fills arriving from the memory partitions.
     for (std::size_t i = 0; i < respQueue.size();) {
@@ -981,33 +957,26 @@ SmCore::nextEventAt(Cycle now) const
     if (!outRequests.empty() || !fetchQueue.empty())
         return now;
     Cycle h = neverCycle;
-    for (unsigned s = 0; s < cfg.numSchedulers; ++s) {
-        if (schedLists[s].empty())
+    for (const SchedulerState &sc : scheds) {
+        if (sc.listMask == 0)
             continue;
-        const ScanCacheEntry &memo = scanCache[s];
-        if (!memo.valid || now >= memo.validUntil)
+        if (!sc.memo.valid || now >= sc.memo.validUntil)
             return now;  // the scan must actually run
-        h = std::min(h, memo.validUntil);
+        h = std::min(h, sc.memo.validUntil);
     }
     for (const MemResponse &r : respQueue) {
         if (r.readyAt <= now)
             return now;
         h = std::min(h, r.readyAt);
     }
-    if (wbWheelCount + memWheelCount + fetchWheelCount > 0) {
-        // Wheel entries always fire within wheelSize cycles of being
-        // pushed, so the first non-empty slot ahead of `now` is the
-        // wheels' next event; a skip can never jump over one.
-        for (unsigned d = 0; d < wheelSize; ++d) {
-            const unsigned slot =
-                static_cast<unsigned>((now + d) % wheelSize);
-            if (!wbWheel[slot].empty() || !memWheel[slot].empty() ||
-                !fetchWheel[slot].empty()) {
-                h = std::min(h, now + d);
-                break;
-            }
-        }
-    }
+    // Wheel entries always fire within smWheelSlots cycles of being
+    // pushed, so the first occupied slot at or after `now` is the
+    // wheels' next event; a skip can never jump over one.
+    const unsigned d = std::min({wbWheel.nextOccupied(now),
+                                 memWheel.nextOccupied(now),
+                                 fetchWheel.nextOccupied(now)});
+    if (d < smWheelSlots)
+        h = std::min(h, now + d);
     return h;
 }
 
@@ -1031,7 +1000,7 @@ SmCore::skipTick(Cycle now, Cycle cycles)
     // LDST unit counts busy while occupied or under MSHR pressure;
     // both terms are frozen across the window.
     Cycle busy = 0;
-    if (l1.mshrsInUse() >= 8)
+    if (l1.mshrsInUse() >= ldstPressureMshrs)
         busy = cycles;
     else if (ldstBusyUntil > now)
         busy = std::min(cycles, ldstBusyUntil - now);
@@ -1040,11 +1009,11 @@ SmCore::skipTick(Cycle now, Cycle cycles)
         if (recordTelemetry && ldstOwner != invalidKernel)
             smStats.kernelLdstBusyCycles[ldstOwner] += busy;
     }
-    for (unsigned s = 0; s < cfg.numSchedulers; ++s) {
-        if (schedLists[s].empty()) {
+    for (const SchedulerState &sc : scheds) {
+        if (sc.listMask == 0) {
             chargeStall(StallKind::Idle, invalidKernel, cycles);
         } else {
-            const ScanCacheEntry &memo = scanCache[s];
+            const ScanCacheEntry &memo = sc.memo;
             WSL_ASSERT(memo.valid && now + cycles <= memo.validUntil,
                        "skip window crosses a scheduler memo horizon");
             engineScanMemoHits += cycles;

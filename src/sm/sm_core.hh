@@ -20,6 +20,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/wheel.hh"
 #include "mem/cache.hh"
 #include "mem/request.hh"
 #include "sm/resources.hh"
@@ -234,8 +235,6 @@ class SmCore
         std::uint32_t regMask;
     };
 
-    static constexpr unsigned wheelSize = smWheelSlots;
-
     /**
      * Memoized outcome of a failed (nothing-issued) scheduler scan.
      * A failed scan mutates nothing but stall counters, so until an
@@ -248,19 +247,31 @@ class SmCore
      */
     struct ScanCacheEntry
     {
-        bool valid = false;
         /** First cycle at which a time-dependent (ExecBusy) outcome
          *  could flip; ~Cycle{0} when no pipeline was busy. */
         Cycle validUntil = 0;
         StallKind kind = StallKind::Idle;
         std::int8_t culprit = static_cast<std::int8_t>(invalidKernel);
+        bool valid = false;
+    };
+
+    /** Everything one warp scheduler reads on a scan, in one block. */
+    struct SchedulerState
+    {
+        /** Warp-slot bit set mirroring schedLists membership; 0 exactly
+         *  when the scheduler has no live warp. */
+        std::uint64_t listMask = 0;
+        Cycle aluBusyUntil = 0;  //!< the scheduler's own ALU pipe
+        ScanCacheEntry memo;     //!< failed-scan memo
+        int lastIssued = -1;     //!< GTO greedy warp
+        unsigned rrPos = 0;      //!< LRR rotation
     };
 
     void
     invalidateScanCache()
     {
-        for (ScanCacheEntry &entry : scanCache)
-            entry.valid = false;
+        for (SchedulerState &sc : scheds)
+            sc.memo.valid = false;
     }
 
     void runFetch(Cycle now);
@@ -333,14 +344,9 @@ class SmCore
 
     // Schedulers.
     std::vector<std::vector<std::uint16_t>> schedLists;  //!< age order
-    /** Warp-slot bit set per scheduler mirroring schedLists
-     *  membership. */
-    std::vector<std::uint64_t> schedListMask;
-    std::vector<int> lastIssued;   //!< GTO greedy warp per scheduler
-    std::vector<unsigned> rrPos;   //!< LRR rotation per scheduler
+    std::vector<SchedulerState> scheds;
 
-    // Execution pipelines.
-    std::vector<Cycle> aluBusyUntil;  //!< one pipe per scheduler
+    // Shared execution pipelines (each scheduler's ALU is in scheds).
     Cycle sfuBusyUntil = 0;
     Cycle ldstBusyUntil = 0;
     /** Kernel whose access last occupied the LDST unit; busy cycles
@@ -353,15 +359,14 @@ class SmCore
         std::uint32_t epoch;
     };
 
-    // Writeback timing wheels. The pending counters track live slot
-    // entries so nextEventAt() can skip the 256-slot scan when all
-    // wheels are empty (the common idle state).
-    std::array<std::vector<WbEntry>, wheelSize> wbWheel;
-    std::array<std::vector<std::uint16_t>, wheelSize> memWheel;
-    std::array<std::vector<FetchEntry>, wheelSize> fetchWheel;
-    unsigned wbWheelCount = 0;
-    unsigned memWheelCount = 0;
-    unsigned fetchWheelCount = 0;
+    // Fixed-latency event wheels, indexed by firing cycle: register
+    // writebacks (ALU/SFU/shared memory), L1-hit load transactions
+    // (load-entry indices), and i-buffer refills. Each keeps its own
+    // occupancy bitmap, so nextEventAt() finds the next firing slot
+    // without probing empty ones.
+    TimingWheel<WbEntry> wbWheel;
+    TimingWheel<std::uint16_t> memWheel;
+    TimingWheel<FetchEntry> fetchWheel;
 
     // Memory.
     Cache l1;
@@ -374,9 +379,6 @@ class SmCore
 
     // Front end: warps whose i-buffer drained and need a refill.
     RingQueue<FetchEntry> fetchQueue;
-
-    // Per-scheduler memo of failed issue scans (see ScanCacheEntry).
-    std::vector<ScanCacheEntry> scanCache;
 
     // Engine-meta counters (see the accessors above).
     std::uint64_t engineScanMemoHits = 0;

@@ -20,6 +20,7 @@
 #include "common/histogram.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "common/wheel.hh"
 #include "gpu/gpu.hh"
 #include "harness/solo_cache.hh"
 #include "mem/cache.hh"
@@ -40,6 +41,53 @@ checkCount(std::size_t got, std::size_t want, const char *what)
             std::string("snapshot structure mismatch: ") + what +
             " count is " + std::to_string(got) +
             ", this machine has " + std::to_string(want));
+    }
+}
+
+// Timing wheels: per slot, the entry count then the entries in push
+// order. Restoring pushes them back in the same order, which keeps
+// each slot's firing order (and so the load-entry free-list order).
+
+template <typename T, unsigned Slots, typename WriteFn>
+void
+saveWheel(SnapWriter &w, const TimingWheel<T, Slots> &wheel,
+          WriteFn &&write)
+{
+    for (unsigned slot = 0; slot < Slots; ++slot) {
+        w.u32(static_cast<std::uint32_t>(wheel.slotSize(slot)));
+        wheel.forEachIn(slot, write);
+    }
+}
+
+template <typename T, unsigned Slots, typename ReadFn>
+void
+loadWheel(SnapReader &r, TimingWheel<T, Slots> &wheel, const char *what,
+          ReadFn &&read)
+{
+    wheel.clear();
+    for (unsigned slot = 0; slot < Slots; ++slot) {
+        const std::uint32_t n = r.u32();
+        if (n > TimingWheel<T, Slots>::maxEntries - wheel.size()) {
+            throw SnapshotError(std::string("snapshot corrupted: ") +
+                                what + " wheel slot " +
+                                std::to_string(slot) + " holds " +
+                                std::to_string(n) + " entries");
+        }
+        for (std::uint32_t i = 0; i < n; ++i)
+            wheel.push(slot, read());
+    }
+}
+
+/** The wheel's recorded entry total must match what was restored. */
+void
+checkWheelCount(std::uint32_t recorded, std::size_t restored,
+                const char *what)
+{
+    if (recorded != restored) {
+        throw SnapshotError(std::string("snapshot corrupted: ") + what +
+                            " wheel records " + std::to_string(recorded) +
+                            " entries, its slots hold " +
+                            std::to_string(restored));
     }
 }
 
@@ -485,42 +533,33 @@ struct SnapshotAccess
             for (const std::uint16_t widx : list)
                 w.u16(widx);
         }
-        for (const std::uint64_t mask : s.schedListMask)
-            w.u64(mask);
-        for (const int last : s.lastIssued)
-            w.i32(last);
-        for (const unsigned pos : s.rrPos)
-            w.u32(pos);
+        for (const SmCore::SchedulerState &sc : s.scheds)
+            w.u64(sc.listMask);
+        for (const SmCore::SchedulerState &sc : s.scheds)
+            w.i32(sc.lastIssued);
+        for (const SmCore::SchedulerState &sc : s.scheds)
+            w.u32(sc.rrPos);
 
-        for (const Cycle busy : s.aluBusyUntil)
-            w.u64(busy);
+        for (const SmCore::SchedulerState &sc : s.scheds)
+            w.u64(sc.aluBusyUntil);
         w.u64(s.sfuBusyUntil);
         w.u64(s.ldstBusyUntil);
         w.i32(s.ldstOwner);
 
-        for (const auto &slot : s.wbWheel) {
-            w.u32(static_cast<std::uint32_t>(slot.size()));
-            for (const SmCore::WbEntry &e : slot) {
-                w.u16(e.warp);
-                w.u32(e.epoch);
-                w.u32(e.regMask);
-            }
-        }
-        for (const auto &slot : s.memWheel) {
-            w.u32(static_cast<std::uint32_t>(slot.size()));
-            for (const std::uint16_t widx : slot)
-                w.u16(widx);
-        }
-        for (const auto &slot : s.fetchWheel) {
-            w.u32(static_cast<std::uint32_t>(slot.size()));
-            for (const SmCore::FetchEntry &e : slot) {
-                w.u16(e.warp);
-                w.u32(e.epoch);
-            }
-        }
-        w.u32(s.wbWheelCount);
-        w.u32(s.memWheelCount);
-        w.u32(s.fetchWheelCount);
+        saveWheel(w, s.wbWheel, [&](const SmCore::WbEntry &e) {
+            w.u16(e.warp);
+            w.u32(e.epoch);
+            w.u32(e.regMask);
+        });
+        saveWheel(w, s.memWheel,
+                  [&](std::uint16_t load_idx) { w.u16(load_idx); });
+        saveWheel(w, s.fetchWheel, [&](const SmCore::FetchEntry &e) {
+            w.u16(e.warp);
+            w.u32(e.epoch);
+        });
+        w.u32(static_cast<std::uint32_t>(s.wbWheel.size()));
+        w.u32(static_cast<std::uint32_t>(s.memWheel.size()));
+        w.u32(static_cast<std::uint32_t>(s.fetchWheel.size()));
 
         save(w, s.l1);
 
@@ -554,8 +593,9 @@ struct SnapshotAccess
 
         // Scheduler scan memos: serialized, not invalidated, so the
         // restored engine replays the same memoized stall charges.
-        w.u32(static_cast<std::uint32_t>(s.scanCache.size()));
-        for (const SmCore::ScanCacheEntry &e : s.scanCache) {
+        w.u32(static_cast<std::uint32_t>(s.scheds.size()));
+        for (const SmCore::SchedulerState &sc : s.scheds) {
+            const SmCore::ScanCacheEntry &e = sc.memo;
             w.b(e.valid);
             w.u64(e.validUntil);
             w.u32(static_cast<std::uint32_t>(e.kind));
@@ -689,42 +729,36 @@ struct SnapshotAccess
             for (std::uint16_t &widx : list)
                 widx = r.u16();
         }
-        for (std::uint64_t &mask : s.schedListMask)
-            mask = r.u64();
-        for (int &last : s.lastIssued)
-            last = r.i32();
-        for (unsigned &pos : s.rrPos)
-            pos = r.u32();
+        for (SmCore::SchedulerState &sc : s.scheds)
+            sc.listMask = r.u64();
+        for (SmCore::SchedulerState &sc : s.scheds)
+            sc.lastIssued = r.i32();
+        for (SmCore::SchedulerState &sc : s.scheds)
+            sc.rrPos = r.u32();
 
-        for (Cycle &busy : s.aluBusyUntil)
-            busy = r.u64();
+        for (SmCore::SchedulerState &sc : s.scheds)
+            sc.aluBusyUntil = r.u64();
         s.sfuBusyUntil = r.u64();
         s.ldstBusyUntil = r.u64();
         s.ldstOwner = r.i32();
 
-        for (auto &slot : s.wbWheel) {
-            slot.resize(r.u32());
-            for (SmCore::WbEntry &e : slot) {
-                e.warp = r.u16();
-                e.epoch = r.u32();
-                e.regMask = r.u32();
-            }
-        }
-        for (auto &slot : s.memWheel) {
-            slot.resize(r.u32());
-            for (std::uint16_t &widx : slot)
-                widx = r.u16();
-        }
-        for (auto &slot : s.fetchWheel) {
-            slot.resize(r.u32());
-            for (SmCore::FetchEntry &e : slot) {
-                e.warp = r.u16();
-                e.epoch = r.u32();
-            }
-        }
-        s.wbWheelCount = r.u32();
-        s.memWheelCount = r.u32();
-        s.fetchWheelCount = r.u32();
+        loadWheel(r, s.wbWheel, "writeback", [&] {
+            SmCore::WbEntry e;
+            e.warp = r.u16();
+            e.epoch = r.u32();
+            e.regMask = r.u32();
+            return e;
+        });
+        loadWheel(r, s.memWheel, "L1-hit", [&] { return r.u16(); });
+        loadWheel(r, s.fetchWheel, "fetch", [&] {
+            SmCore::FetchEntry e;
+            e.warp = r.u16();
+            e.epoch = r.u32();
+            return e;
+        });
+        checkWheelCount(r.u32(), s.wbWheel.size(), "writeback");
+        checkWheelCount(r.u32(), s.memWheel.size(), "L1-hit");
+        checkWheelCount(r.u32(), s.fetchWheel.size(), "fetch");
 
         load(r, s.l1);
 
@@ -760,8 +794,9 @@ struct SnapshotAccess
         }
 
         const std::uint32_t nscan = r.u32();
-        checkCount(nscan, s.scanCache.size(), "scan memo");
-        for (SmCore::ScanCacheEntry &e : s.scanCache) {
+        checkCount(nscan, s.scheds.size(), "scan memo");
+        for (SmCore::SchedulerState &sc : s.scheds) {
+            SmCore::ScanCacheEntry &e = sc.memo;
             e.valid = r.b();
             e.validUntil = r.u64();
             const std::uint32_t kind = r.u32();
