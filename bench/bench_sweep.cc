@@ -1,17 +1,16 @@
 /**
  * @file
  * Wall-clock benchmark and correctness gate for the experiment engine:
- * runs the full 30-pair x 4-policy evaluation matrix four ways —
- * {serial, `--jobs` worker threads} x {event-horizon clock skipping
- * on, off} — plus a fifth pass with the full observability layer
- * attached (engine profiler on every job, decision log on the Dynamic
- * jobs, registry exporters exercised afterwards) and two warm-start
- * passes (one populating the process-wide SnapshotCache with each
- * job's prefix snapshot, one replaying the whole matrix from those
- * cached snapshots), verifies all seven result sets are bit-identical,
- * and reports the speedups. This is the gate that lets clock skipping,
- * batch parallelism, the observability layer, and the snapshot
- * warm-start path all claim "pure performance toggle" / "pure
+ * runs the full 30-pair x 4-policy evaluation matrix serially and on
+ * `--jobs` worker threads, plus a third pass with the full
+ * observability layer attached (engine profiler on every job, decision
+ * log on the Dynamic jobs, registry exporters exercised afterwards)
+ * and two warm-start passes (one populating the process-wide
+ * SnapshotCache with each job's prefix snapshot, one replaying the
+ * whole matrix from those cached snapshots), verifies all five result
+ * sets are bit-identical, and reports the speedups. This is the gate
+ * that lets batch parallelism, the observability layer, and the
+ * snapshot warm-start path claim "pure performance toggle" / "pure
  * observer".
  *
  * Usage: bench_sweep [--quick] [--jobs N] [--out FILE]
@@ -20,8 +19,8 @@
  *             0 = all hardware threads)
  *   --out F   JSON report path (default BENCH_sweep.json)
  *
- * The solo-characterization cache is cleared before each pass so both
- * measure the complete pipeline (characterization + co-run matrix).
+ * The solo-characterization cache is cleared before each pass so each
+ * measures the complete pipeline (characterization + co-run matrix).
  */
 
 #include <chrono>
@@ -114,11 +113,8 @@ main(int argc, char **argv)
     }
 
     const GpuConfig cfg = GpuConfig::baseline();
-    GpuConfig cfg_noskip = cfg;
-    cfg_noskip.clockSkip = false;
     const Cycle window = defaultWindow();
     Characterization chars(cfg, window);
-    Characterization chars_noskip(cfg_noskip, window);
 
     std::vector<WorkloadPair> pairs = evaluationPairs();
     if (quick && pairs.size() > 6)
@@ -143,20 +139,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(window));
 
     std::vector<CoRunResult> serial, parallel;
-    std::vector<CoRunResult> serial_ref, parallel_ref;
     const double t_serial = timedRun(chars, batch, 1, serial);
     std::printf("serial:            %7.2fs (1 thread)\n", t_serial);
     const double t_parallel = timedRun(chars, batch, jobs, parallel);
     std::printf("parallel:          %7.2fs (%u threads)\n", t_parallel,
                 jobs);
-    const double t_serial_ref =
-        timedRun(chars_noskip, batch, 1, serial_ref);
-    std::printf("serial no-skip:    %7.2fs (1 thread)\n", t_serial_ref);
-    const double t_parallel_ref =
-        timedRun(chars_noskip, batch, jobs, parallel_ref);
-    std::printf("parallel no-skip:  %7.2fs (%u threads)\n",
-                t_parallel_ref, jobs);
-    // Fifth pass: full observability attached. The profiler and
+    // Third pass: full observability attached. The profiler and
     // decision log only observe, so simulated results must still be
     // bit-identical to the plain serial pass.
     std::vector<EngineProfiler> profilers(batch.size());
@@ -214,10 +202,9 @@ main(int argc, char **argv)
         registry.writePrometheus(sink);
     }
 
-    // All seven passes must agree byte for byte: job parallelism may
-    // not perturb results, event-horizon skipping must be invisible
-    // next to the per-cycle reference loop, the observability layer
-    // must be a pure observer, and warm start must restore exactly.
+    // All five passes must agree byte for byte: job parallelism may
+    // not perturb results, the observability layer must be a pure
+    // observer, and warm start must restore exactly.
     auto same_as_serial = [&](const std::vector<CoRunResult> &other) {
         if (other.size() != serial.size())
             return false;
@@ -227,20 +214,14 @@ main(int argc, char **argv)
         return true;
     };
     const bool thread_identical = same_as_serial(parallel);
-    const bool skip_identical = same_as_serial(serial_ref) &&
-                                same_as_serial(parallel_ref);
     const bool obs_identical = same_as_serial(observed);
     const bool warm_identical =
         same_as_serial(warm_capture) && same_as_serial(warm);
-    const bool identical = thread_identical && skip_identical &&
-                           obs_identical && warm_identical;
+    const bool identical =
+        thread_identical && obs_identical && warm_identical;
     const double speedup = t_parallel > 0 ? t_serial / t_parallel : 0;
-    const double skip_speedup =
-        t_serial > 0 ? t_serial_ref / t_serial : 0;
     std::printf("thread speedup:  %7.2fx   results %s\n", speedup,
                 thread_identical ? "bit-identical" : "DIVERGED");
-    std::printf("skip speedup:    %7.2fx   results %s\n", skip_speedup,
-                skip_identical ? "bit-identical" : "DIVERGED");
     std::printf("obs overhead:    %7.2fx   results %s\n",
                 t_serial > 0 ? t_observed / t_serial : 0,
                 obs_identical ? "bit-identical" : "DIVERGED");
@@ -269,9 +250,6 @@ main(int argc, char **argv)
            << "  \"threads\": " << jobs << ",\n"
            << "  \"serial_seconds\": " << t_serial << ",\n"
            << "  \"parallel_seconds\": " << t_parallel << ",\n"
-           << "  \"serial_noskip_seconds\": " << t_serial_ref << ",\n"
-           << "  \"parallel_noskip_seconds\": " << t_parallel_ref
-           << ",\n"
            << "  \"hardware_threads\": "
            << std::thread::hardware_concurrency() << ",\n"
            << "  \"observed_serial_seconds\": " << t_observed << ",\n"
@@ -282,7 +260,6 @@ main(int argc, char **argv)
            << "  \"snapshot_format_version\": " << snapshotFormatVersion
            << ",\n"
            << "  \"speedup\": " << speedup << ",\n"
-           << "  \"clock_skip_speedup\": " << skip_speedup << ",\n"
            << "  \"simulated_cycles\": " << sim_cycles << ",\n"
            << "  \"serial_mcycles_per_sec\": " << mcps << ",\n"
            << "  \"identical\": " << (identical ? "true" : "false")

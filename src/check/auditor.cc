@@ -4,9 +4,9 @@
  * of cached accounting from the ground-truth state it summarizes:
  * allocator sums from CTA allocations, MSHR occupancy from in-flight
  * load transactions, scoreboard bits from pending writebacks, the
- * SM readiness bitmasks from a per-warp scan, timing-wheel counts and
- * occupancy bits from their slot lists, and queue
- * conservation from accepted/serviced counters. A divergence means a
+ * SM readiness bitmasks from a per-warp scan, timing-wheel counts
+ * from their slot lists, and queue conservation from
+ * accepted/serviced counters. A divergence means a
  * fast path drifted from the state it mirrors — exactly the class of
  * bug that silently corrupts sweep results.
  */
@@ -408,17 +408,8 @@ checkWheel(unsigned s, const char *name, const Wheel &wheel,
            std::vector<std::string> &out)
 {
     std::size_t entries = 0;
-    for (unsigned slot = 0; slot < wheel.slots; ++slot) {
-        const std::size_t len = wheel.slotSize(slot);
-        entries += len;
-        if (wheel.occupied(slot) != (len != 0)) {
-            out.push_back("SM " + std::to_string(s) + ": " + name +
-                          " wheel slot " + std::to_string(slot) +
-                          " holds " + std::to_string(len) +
-                          " entries but its occupancy bit is " +
-                          (wheel.occupied(slot) ? "set" : "clear"));
-        }
-    }
+    for (unsigned slot = 0; slot < wheel.slots; ++slot)
+        entries += wheel.slotSize(slot);
     if (entries != wheel.size()) {
         out.push_back("SM " + std::to_string(s) + ": " + name +
                       " wheel size " + std::to_string(wheel.size()) +
@@ -426,11 +417,8 @@ checkWheel(unsigned s, const char *name, const Wheel &wheel,
     }
 }
 
-/**
- * Timing-wheel bookkeeping: each wheel's entry count equals the sum of
- * its slot lengths, and a slot's occupancy bit (what nextEventAt reads
- * to find the next firing slot) is set exactly when it is non-empty.
- */
+/** Timing-wheel bookkeeping: each wheel's entry count equals the sum
+ *  of its slot lengths. */
 void
 checkSmWheels(const Gpu &gpu, std::vector<std::string> &out)
 {

@@ -83,9 +83,11 @@ struct GpuConfig
 
     // ---- Simulation control ----
     std::uint64_t seed = 1;
-    /** Event-horizon clock skipping in Gpu::run(). Pure performance
-     *  toggle: results are bit-identical either way (the bench_sweep
-     *  gate enforces this); false forces the per-cycle reference loop. */
+    /** Unused: Gpu::run() ticks every cycle, and validate() accepts
+     *  either value. The field stays only because the perfbench
+     *  harness still writes it (true, and false for its per-cycle
+     *  replay check); the next benchmark change should drop those
+     *  writes and this field with it. */
     bool clockSkip = true;
     /** Tick-engine worker threads. The engine is serial, so 1 is the
      *  only value validate() accepts. The field stays only because the

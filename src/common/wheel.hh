@@ -5,15 +5,13 @@
  * one node pool with a LIFO free list, so a drained slot's nodes are
  * handed to the next push while still in cache, instead of every slot
  * owning a separately allocated buffer that is touched once a wrap.
- * An occupancy bitmap answers "next non-empty slot" in Slots/64 word
- * tests. Entries keep their push order within a slot.
+ * Entries keep their push order within a slot.
  */
 
 #ifndef WSL_COMMON_WHEEL_HH
 #define WSL_COMMON_WHEEL_HH
 
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -26,11 +24,8 @@ namespace wsl {
 template <typename T, unsigned Slots = smWheelSlots>
 class TimingWheel
 {
-    static_assert(Slots % 64 == 0, "occupancy words must tile the slots");
-
     using Index = std::uint16_t;
     static constexpr Index nil = 0xffff;
-    static constexpr unsigned words = Slots / 64;
 
   public:
     static constexpr unsigned slots = Slots;
@@ -61,12 +56,10 @@ class TimingWheel
         }
         nodes[n].value = value;
         nodes[n].next = nil;
-        if (head[slot] == nil) {
+        if (head[slot] == nil)
             head[slot] = n;
-            occupancy[slot / 64] |= std::uint64_t{1} << (slot % 64);
-        } else {
+        else
             nodes[tail[slot]].next = n;
-        }
         tail[slot] = n;
         ++count;
     }
@@ -86,7 +79,6 @@ class TimingWheel
             return;
         head[slot] = nil;
         tail[slot] = nil;
-        occupancy[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
         while (n != nil) {
             const T value = nodes[n].value;
             const Index next = nodes[n].next;
@@ -117,47 +109,6 @@ class TimingWheel
         return len;
     }
 
-    /** The slot's occupancy bit. */
-    bool
-    occupied(unsigned slot) const
-    {
-        return (occupancy[slot / 64] >> (slot % 64)) & 1;
-    }
-
-    /**
-     * Distance d in [0, Slots) from the slot of cycle `from` to the
-     * first occupied slot at or after it, wrapping past the last slot;
-     * Slots when the wheel is empty.
-     */
-    unsigned
-    nextOccupied(Cycle from) const
-    {
-        const unsigned start = static_cast<unsigned>(from % Slots);
-        const unsigned w0 = start / 64;
-        const unsigned b0 = start % 64;
-        // The start word's bits at or above the start slot first, then
-        // the other words in wrap order, then the start word's low bits.
-        std::uint64_t m = occupancy[w0] & (~std::uint64_t{0} << b0);
-        if (m != 0)
-            return static_cast<unsigned>(std::countr_zero(m)) - b0;
-        for (unsigned k = 1; k < words; ++k) {
-            const unsigned w = (w0 + k) % words;
-            if (occupancy[w] != 0) {
-                const unsigned slot =
-                    w * 64 +
-                    static_cast<unsigned>(std::countr_zero(occupancy[w]));
-                return (slot + Slots - start) % Slots;
-            }
-        }
-        m = occupancy[w0] & ((std::uint64_t{1} << b0) - 1);
-        if (m != 0) {
-            const unsigned slot =
-                w0 * 64 + static_cast<unsigned>(std::countr_zero(m));
-            return slot + Slots - start;
-        }
-        return Slots;
-    }
-
     /** Drop every entry and the node pool. */
     void
     clear()
@@ -165,7 +116,6 @@ class TimingWheel
         nodes.clear();
         head.fill(nil);
         tail.fill(nil);
-        occupancy.fill(0);
         freeHead = nil;
         count = 0;
     }
@@ -180,7 +130,6 @@ class TimingWheel
     std::vector<Node> nodes;
     std::array<Index, Slots> head;
     std::array<Index, Slots> tail;
-    std::array<std::uint64_t, words> occupancy;
     Index freeHead = nil;
     std::size_t count = 0;
 };

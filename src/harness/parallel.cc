@@ -1,8 +1,6 @@
 #include "harness/parallel.hh"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -10,6 +8,7 @@
 #include <thread>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 
 namespace wsl {
 
@@ -19,32 +18,19 @@ parseJobs(const char *text, const char *what)
     constexpr unsigned serial = 1;
     if (!text || !*text)
         return serial;
-    // Parse strictly, mirroring defaultWindow(): a decimal count and
-    // nothing else. strtoul skips whitespace and wraps negative input,
-    // so require the first character to already be a digit.
-    if (!std::isdigit(static_cast<unsigned char>(*text))) {
-        warn(what, "='", text, "' must be a thread count; ",
+    const auto v =
+        parseDecimal(text, std::numeric_limits<unsigned>::max());
+    if (!v) {
+        warn(what, "='", text, "' is not a thread count; ",
              "running serially");
         return serial;
     }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        warn(what, "='", text, "' is not a number; running serially");
-        return serial;
-    }
-    if (errno == ERANGE ||
-        v > std::numeric_limits<unsigned>::max()) {
-        warn(what, "='", text, "' overflows; running serially");
-        return serial;
-    }
-    if (v == 0) {
+    if (*v == 0) {
         // 0 = "use every core".
         const unsigned hw = std::thread::hardware_concurrency();
         return hw ? hw : serial;
     }
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(*v);
 }
 
 unsigned

@@ -20,11 +20,11 @@
 namespace wsl {
 
 /**
- * Parse a worker-thread count following the defaultWindow() hardening
- * rules: a strict decimal number, where 0 selects the hardware
- * concurrency and anything malformed or overflowing warns and falls
- * back to serial (1). `what` names the source ("--jobs", "WSL_JOBS")
- * in warnings. A null/empty `text` silently means serial.
+ * Parse a worker-thread count with parseDecimal() (common/parse.hh),
+ * where 0 selects the hardware concurrency and anything malformed or
+ * overflowing warns and falls back to serial (1). `what` names the
+ * source ("--jobs", "WSL_JOBS") in warnings. A null/empty `text`
+ * silently means serial.
  */
 unsigned parseJobs(const char *text, const char *what);
 

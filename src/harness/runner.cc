@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
-#include <limits>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "core/policies.hh"
 #include "harness/parallel.hh"
 #include "harness/snapshot_cache.hh"
@@ -54,34 +52,18 @@ defaultWindow()
     const char *env = std::getenv("WSL_WINDOW");
     if (!env || !*env)
         return fallback;
-    // Parse strictly: a decimal cycle count, nothing else. strtoull
-    // skips whitespace and wraps negative input, so require the first
-    // character to already be a digit.
-    if (!std::isdigit(static_cast<unsigned char>(*env))) {
-        warn("WSL_WINDOW='", env, "' must be a positive cycle count; ",
+    const auto v = parseDecimal(env);
+    if (!v) {
+        warn("WSL_WINDOW='", env, "' is not a cycle count; ",
              "using default ", fallback);
         return fallback;
     }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0') {
-        warn("WSL_WINDOW='", env, "' is not a number; using default ",
-             fallback);
-        return fallback;
-    }
-    if (errno == ERANGE || v > static_cast<unsigned long long>(
-                                   std::numeric_limits<Cycle>::max())) {
-        warn("WSL_WINDOW='", env, "' overflows; using default ",
-             fallback);
-        return fallback;
-    }
-    if (v == 0) {
+    if (*v == 0) {
         warn("WSL_WINDOW=0 would skip characterization; using default ",
              fallback);
         return fallback;
     }
-    return static_cast<Cycle>(v);
+    return *v;
 }
 
 WarpedSlicerOptions
@@ -417,7 +399,6 @@ namespace {
 // not synchronization.
 std::atomic<std::uint64_t> g_batch_jobs{0};
 std::atomic<std::uint64_t> g_batch_failures{0};
-std::atomic<std::uint64_t> g_batch_retries{0};
 
 } // namespace
 
@@ -431,12 +412,6 @@ std::uint64_t
 batchJobsFailed()
 {
     return g_batch_failures.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-batchRetries()
-{
-    return g_batch_retries.load(std::memory_order_relaxed);
 }
 
 std::vector<CoRunResult>
@@ -463,40 +438,10 @@ runCoScheduleBatch(Characterization &chars,
                     apps.push_back(benchmark(name));
                     targets.push_back(chars.target(name));
                 }
-                try {
-                    return runCoSchedule(apps, targets, job.kind,
-                                         run_cfg, job.opts);
-                } catch (const DeadlockError &e) {
-                    if (!chars.config().clockSkip)
-                        throw;
-                    // The watchdog fired under clock skipping. Retry
-                    // once with the per-cycle reference loop: if that
-                    // succeeds, the skip fast path (not the workload)
-                    // diverged — report it as such but keep the
-                    // retry's trustworthy numbers.
-                    GpuConfig no_skip = run_cfg;
-                    no_skip.clockSkip = false;
-                    g_batch_retries.fetch_add(
-                        1, std::memory_order_relaxed);
-                    CoRunResult r = runCoSchedule(apps, targets,
-                                                  job.kind, no_skip,
-                                                  job.opts);
-                    r.error.failed = true;
-                    r.error.kind = "skip-divergence";
-                    r.error.retriedNoSkip = true;
-                    r.error.retries = 1;
-                    r.error.message = detail::concat(
-                        "watchdog fired with clock skipping but the "
-                        "no-skip retry completed: ", e.what());
-                    g_batch_failures.fetch_add(
-                        1, std::memory_order_relaxed);
-                    return r;
-                }
+                return runCoSchedule(apps, targets, job.kind, run_cfg,
+                                     job.opts);
             } catch (const DeadlockError &e) {
                 failed.error.kind = e.kindName();
-                failed.error.retriedNoSkip = chars.config().clockSkip;
-                failed.error.retries =
-                    failed.error.retriedNoSkip ? 1 : 0;
                 failed.error.message = detail::concat(
                     e.what(), "\n", e.report());
             } catch (const SimError &e) {

@@ -9,8 +9,11 @@ configFingerprint(const GpuConfig &c)
 {
     // Serialize every field; a parameter added to GpuConfig must be
     // appended here or distinct configs could share solo results.
-    // Deliberate exception: tickThreads is excluded. validate()
-    // accepts only 1, so it cannot tell two configs apart.
+    // Deliberate exceptions: tickThreads is excluded (validate()
+    // accepts only 1), and the retired clock-skip knob, which nothing
+    // simulated reads, keeps its slot as a constant 1 so fingerprints
+    // written by older builds (in snapshots and manifests) still
+    // match.
     std::ostringstream os;
     os << c.numSms << ',' << c.simtWidth << ',' << c.numSchedulers
        << ',' << static_cast<int>(c.scheduler) << ','
@@ -29,7 +32,7 @@ configFingerprint(const GpuConfig &c)
        << ',' << c.dramQueue << ',' << c.tCL << ',' << c.tRP << ','
        << c.tRC << ',' << c.tRAS << ',' << c.tRCD << ',' << c.tRRD
        << ',' << c.dramBurst << ',' << c.dramRowBytes << ',' << c.seed
-       << ',' << c.clockSkip << ',' << c.auditCadence << ','
+       << ",1," << c.auditCadence << ','
        << c.watchdogCycles;
     return os.str();
 }

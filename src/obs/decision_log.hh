@@ -14,8 +14,8 @@
  *
  * Recording is strictly observational and fully deterministic (no
  * wall clock, no allocation-order dependence): two runs of the same
- * workload produce byte-identical logs at any --jobs setting and
- * with clock skipping on or off, which tests enforce.
+ * workload produce byte-identical logs at any --jobs setting, which
+ * tests enforce.
  */
 
 #ifndef WSL_OBS_DECISION_LOG_HH

@@ -84,7 +84,7 @@ class SmCore
     /**
      * True when this core has no live warps and no in-flight work:
      * ticking it can only burn Idle scheduler slots. The GPU then
-     * substitutes skipTick(), which bulk-accounts the identical
+     * substitutes tickQuiescent(), which accounts the identical
      * counters without running the pipeline.
      */
     bool
@@ -96,24 +96,11 @@ class SmCore
     }
 
     /**
-     * Earliest future cycle at which ticking this core could do
-     * anything beyond replaying memoized stalls: a wheel slot firing
-     * (writeback, L1-hit maturation, i-buffer refill), a line fill
-     * arriving, a scheduler memo expiring, or queued front-end/outgoing
-     * work needing per-cycle service. Returns `now` when the core must
-     * be ticked every cycle; cycles strictly between `now` and the
-     * returned value are provably identical to skipTick() accounting.
+     * Account one cycle of a quiescent() core exactly as tick() would:
+     * cycle counter, resource integrals, LDST MSHR-pressure busy
+     * cycle, and an Idle stall on every scheduler.
      */
-    Cycle nextEventAt(Cycle now) const;
-
-    /**
-     * Account `cycles` cycles of guaranteed-eventless simulation
-     * exactly as per-cycle ticking would: cycle counter, resource
-     * integrals, LDST busy accounting, and per-scheduler stall charges
-     * replayed from the scan memos. Only valid for windows ending at or
-     * before nextEventAt(now).
-     */
-    void skipTick(Cycle now, Cycle cycles);
+    void tickQuiescent();
 
     // ---- Memory-system interface (driven by the GPU object) ----
 
@@ -142,10 +129,9 @@ class SmCore
     SmId id() const { return smId; }
 
     // Engine-meta counters: how the *simulator* ran, not what the
-    // simulated machine did. Deliberately NOT in SmStats — memo
-    // replays and scan counts legitimately differ between the skip
-    // and no-skip engines, so folding them into the identity surface
-    // would break the bit-identity gates.
+    // simulated machine did. Deliberately NOT in SmStats, which holds
+    // only simulated-machine state that the bit-identity gates
+    // compare.
 
     /** Scheduler scans answered by replaying the failed-scan memo. */
     std::uint64_t scanMemoHits() const { return engineScanMemoHits; }
@@ -276,7 +262,7 @@ class SmCore
 
     void runFetch(Cycle now);
     void runScheduler(unsigned sched, Cycle now);
-    void chargeStall(StallKind kind, int culprit, Cycle count = 1);
+    void chargeStall(StallKind kind, int culprit);
     IssueOutcome tryIssue(std::uint16_t widx, unsigned sched, Cycle now);
     void executeIssue(WarpHot &hw, WarpState &warp,
                       const Instruction &inst, std::uint16_t widx,
@@ -361,9 +347,7 @@ class SmCore
 
     // Fixed-latency event wheels, indexed by firing cycle: register
     // writebacks (ALU/SFU/shared memory), L1-hit load transactions
-    // (load-entry indices), and i-buffer refills. Each keeps its own
-    // occupancy bitmap, so nextEventAt() finds the next firing slot
-    // without probing empty ones.
+    // (load-entry indices), and i-buffer refills.
     TimingWheel<WbEntry> wbWheel;
     TimingWheel<std::uint16_t> memWheel;
     TimingWheel<FetchEntry> fetchWheel;

@@ -24,9 +24,11 @@ namespace wsl {
  *
  * Retired engine state keeps its layout slot rather than bumping the
  * version, so existing files still restore: the SM readiness-mask
- * "usable" byte (always written 1), and the fused-epoch memo — each
- * SM's quiet bound, its valid flag and its retry cycle, plus the
- * ENGS section's retry cycle — written as 0 and discarded on load.
+ * "usable" byte (always written 1); the fused-epoch memo — each SM's
+ * quiet bound, its valid flag and its retry cycle, plus the ENGS
+ * section's retry cycle; and the ENGS section's clock-skip
+ * policy-dirty flag. The last two groups are written as 0 and
+ * discarded on load.
  */
 inline constexpr std::uint32_t snapshotFormatVersion = 1;
 

@@ -7,8 +7,7 @@
  * full-consumption check at the end). The engine memos — scheduler
  * scan caches, DRAM horizon memos, dispatch saturation flags — are
  * serialized rather than reset so a restored run takes
- * the exact same engine path (skipTick replays stall charges from the
- * scan memos) as a run that never stopped.
+ * the exact same engine path as a run that never stopped.
  */
 
 #include "snapshot/snapshot.hh"
@@ -902,8 +901,8 @@ struct SnapshotAccess
         w.u64(gpu.quotaGenSeen);
         w.b(gpu.dispatchBlocked);
         w.u64(gpu.dispatchBlockedUntil);
-        w.b(gpu.policyDirty);
-        w.u64(0);  // retired fused-epoch retry cycle (format slot)
+        w.b(false);  // retired clock-skip policy-dirty flag (format slot)
+        w.u64(0);    // retired fused-epoch retry cycle (format slot)
 
         w.tag("ENDS");
         return w.take();
@@ -990,7 +989,7 @@ struct SnapshotAccess
         gpu.quotaGenSeen = r.u64();
         gpu.dispatchBlocked = r.b();
         gpu.dispatchBlockedUntil = r.u64();
-        gpu.policyDirty = r.b();
+        r.b();    // retired clock-skip policy-dirty flag
         r.u64();  // retired fused-epoch retry cycle
 
         r.tag("ENDS");
@@ -1016,12 +1015,10 @@ std::string
 snapshotMachineFingerprint(const GpuConfig &cfg)
 {
     // Canonicalize the knobs that cannot change simulated state:
-    // clock skipping is bit-identical at tick boundaries, audits
-    // and the watchdog are read-only. The format version rides along
-    // so layout changes invalidate old fingerprints everywhere at
-    // once (snapshot files AND warm-start cache keys).
+    // audits and the watchdog are read-only. The format version rides
+    // along so layout changes invalidate old fingerprints everywhere
+    // at once (snapshot files AND warm-start cache keys).
     GpuConfig canon = cfg;
-    canon.clockSkip = true;
     canon.auditCadence = 0;
     canon.watchdogCycles = 0;
     return configFingerprint(canon) +

@@ -6,10 +6,9 @@
  * queues, staging), the kernel table, the slicing policy's internal
  * state, stats counters, and the deterministic engine memos — so a
  * restored machine continues bit-identically to one that never
- * stopped. Because clock skipping is bit-identical at tick
- * boundaries, a snapshot taken with it on is a legal restart point with
- * it off and vice versa; the machine fingerprint canonicalizes that
- * engine knob away.
+ * stopped. Audits and the watchdog only read state, so a snapshot is
+ * a legal restart point with either armed or not; the machine
+ * fingerprint canonicalizes those knobs away.
  *
  * Consumers: warm-start co-run fan-out (harness/snapshot_cache.hh),
  * resumable sweeps (--snapshot/--restore in wslicer-sim), and
@@ -33,9 +32,9 @@ class Gpu;
 
 /**
  * Fingerprint of the *simulated machine* a snapshot belongs to: every
- * GpuConfig field, with the pure-performance clockSkip knob and the
- * read-only integrity knobs (auditCadence, watchdogCycles)
- * canonicalized away, plus the snapshot format version. Two configs with equal fingerprints produce bit-identical
+ * GpuConfig field, with the read-only integrity knobs (auditCadence,
+ * watchdogCycles) canonicalized away, plus the snapshot format
+ * version. Two configs with equal fingerprints produce bit-identical
  * machines, so a snapshot may be restored across engine variants —
  * including into an audit-enabled build for bisection-by-replay.
  */

@@ -59,12 +59,11 @@ barrierKernel()
 }
 
 GpuConfig
-auditedConfig(Cycle cadence, Cycle watchdog = 0, bool skip = true)
+auditedConfig(Cycle cadence, Cycle watchdog = 0)
 {
     GpuConfig cfg = GpuConfig::baseline();
     cfg.auditCadence = cadence;
     cfg.watchdogCycles = watchdog;
-    cfg.clockSkip = skip;
     return cfg;
 }
 
@@ -128,8 +127,7 @@ TEST(RingQueue, UnderflowGuard)
 
 TEST(Auditor, CleanSoloRunAtMaxCadence)
 {
-    Gpu gpu(auditedConfig(1, 0, false),
-            std::make_unique<LeftOverPolicy>());
+    Gpu gpu(auditedConfig(1), std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(smallKernel());
     ASSERT_NE(gpu.integrityAuditor(), nullptr);
     EXPECT_NO_THROW(gpu.run(1'000'000));
@@ -137,7 +135,7 @@ TEST(Auditor, CleanSoloRunAtMaxCadence)
     EXPECT_GT(gpu.integrityAuditor()->auditsRun(), 100u);
 }
 
-TEST(Auditor, CleanCoRunWithClockSkip)
+TEST(Auditor, CleanCoRunAtMaxCadence)
 {
     Gpu gpu(auditedConfig(1), std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(benchmark("NN"), 200'000);
@@ -172,15 +170,19 @@ TEST(Auditor, CustomCheckFailureNamesTheCheck)
     }
 }
 
-TEST(Auditor, CadenceSchedulesNextAudit)
+TEST(Auditor, CadenceSchedulesExactAuditCycles)
 {
-    Gpu gpu(auditedConfig(500), std::make_unique<LeftOverPolicy>());
-    gpu.launchKernel(smallKernel());
-    gpu.run(10'000);
+    // The first audit follows the first tick (cycle 1), then one every
+    // `cadence` cycles. A cadence unrelated to anything the workload
+    // does: over 20 000 cycles that is cycles 1, 678, ..., 19 634.
+    constexpr Cycle cadence = 677;
+    Gpu gpu(auditedConfig(cadence), std::make_unique<LeftOverPolicy>());
+    gpu.launchKernel(benchmark("MM"));
+    ASSERT_EQ(gpu.run(20'000), 20'000u);
     const Auditor *aud = gpu.integrityAuditor();
-    EXPECT_EQ(aud->cadence(), 500u);
-    EXPECT_GE(aud->auditsRun(), 1u);
-    EXPECT_GT(aud->nextAuditAt(), gpu.cycle() - 500);
+    EXPECT_EQ(aud->cadence(), cadence);
+    EXPECT_EQ(aud->auditsRun(), 30u);
+    EXPECT_EQ(aud->nextAuditAt(), 1 + 30 * cadence);
 }
 
 TEST(Auditor, ReportsSchedulerListOutOfAgeOrder)
@@ -254,27 +256,23 @@ TEST(Watchdog, DetectsInjectedBarrierDeadlockWithinBound)
     }
 }
 
-TEST(Watchdog, DetectsDeadlockUnderClockSkipAndWithout)
+TEST(Watchdog, DetectionIsBoundedWithoutAudits)
 {
-    // The skip-horizon cap must keep detection bounded with bulk
-    // skipping enabled too.
-    for (const bool skip : {false, true}) {
-        constexpr Cycle wd = 300;
-        Gpu gpu(auditedConfig(0, wd, skip),
-                std::make_unique<LeftOverPolicy>());
-        gpu.launchKernel(barrierKernel());
-        gpu.run(2'000);
-        for (unsigned s = 0; s < gpu.numSms(); ++s)
-            gpu.sm(s).injectBarrierHangForTest();
-        const Cycle injected = gpu.cycle();
-        try {
-            gpu.run(1'000'000);
-            FAIL() << "watchdog never fired (clockSkip="
-                   << (skip ? "true" : "false") << ")";
-        } catch (const DeadlockError &e) {
-            EXPECT_GE(e.stalledFor(), wd);
-            EXPECT_LE(e.cycle(), injected + wd + 5'000);
-        }
+    // No auditor to trip first: the watchdog alone must stop a parked
+    // machine within one window of its last progress.
+    constexpr Cycle wd = 300;
+    Gpu gpu(auditedConfig(0, wd), std::make_unique<LeftOverPolicy>());
+    gpu.launchKernel(barrierKernel());
+    gpu.run(2'000);
+    for (unsigned s = 0; s < gpu.numSms(); ++s)
+        gpu.sm(s).injectBarrierHangForTest();
+    const Cycle injected = gpu.cycle();
+    try {
+        gpu.run(1'000'000);
+        FAIL() << "watchdog never fired on a parked machine";
+    } catch (const DeadlockError &e) {
+        EXPECT_EQ(e.stalledFor(), wd);
+        EXPECT_LE(e.cycle(), injected + wd + 5'000);
     }
 }
 
@@ -300,8 +298,7 @@ TEST(Evict, InstructionTargetEvictionPassesMaxCadenceAudits)
 
 TEST(Evict, ManualEvictionWithParkedWarpsAndInFlightLoads)
 {
-    Gpu gpu(auditedConfig(1, 0, false),
-            std::make_unique<LeftOverPolicy>());
+    Gpu gpu(auditedConfig(1), std::make_unique<LeftOverPolicy>());
     const KernelId kid = gpu.launchKernel(barrierKernel());
     gpu.run(600);  // loads in flight, warps mid-iteration
     ASSERT_FALSE(gpu.allKernelsDone());

@@ -156,3 +156,42 @@ TEST(Cli, TickThreadsFlagIsAUsageError)
     EXPECT_EQ(WEXITSTATUS(status), 2);
     EXPECT_NE(out.find("usage"), std::string::npos);
 }
+
+TEST(Cli, NoSkipFlagIsAUsageError)
+{
+    REQUIRE_CLI();
+    // Gpu::run ticks every cycle; the retired flag must not be
+    // silently accepted.
+    const auto [status, out] = run("corun MM BFS --no-skip");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_NE(out.find("usage"), std::string::npos);
+}
+
+TEST(Cli, MalformedNumbersAreUsageErrors)
+{
+    REQUIRE_CLI();
+    // Each of these used to run: "abc" as 0 cycles, "3000x" as 3000,
+    // "-1" wrapped to the largest cycle count.
+    for (const char *bad : {"abc", "3000x", "-1"}) {
+        const auto [status, out] =
+            run(std::string("corun MM BFS --cycles ") + bad);
+        ASSERT_TRUE(WIFEXITED(status)) << bad;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
+        EXPECT_NE(out.find("--cycles: '" + std::string(bad) + "'"),
+                  std::string::npos)
+            << out;
+        EXPECT_NE(out.find("usage"), std::string::npos) << bad;
+    }
+}
+
+TEST(Cli, UnknownSchedulerIsAUsageError)
+{
+    REQUIRE_CLI();
+    // A typo used to fall back to GTO silently.
+    const auto [status, out] = run("corun MM BFS --sched lrrr");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_NE(out.find("unknown scheduler 'lrrr'"), std::string::npos);
+    EXPECT_NE(out.find("usage"), std::string::npos);
+}

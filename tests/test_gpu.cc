@@ -81,6 +81,24 @@ TEST(Gpu, DeterministicAcrossRuns)
     EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(Gpu, ClockSkipFieldChangesNothing)
+{
+    // GpuConfig::clockSkip survives only as a field older harnesses
+    // write; validate() takes either value and the run is identical.
+    auto run_once = [](bool clock_skip) {
+        GpuConfig c = cfg;
+        c.clockSkip = clock_skip;
+        Gpu gpu(c, std::make_unique<LeftOverPolicy>());
+        gpu.launchKernel(benchmark("LBM"));
+        gpu.run(8'000);
+        const GpuStats st = gpu.collectStats();
+        return std::make_tuple(gpu.cycle(), gpu.kernelWarpInsts(0),
+                               st.stallTotal(), st.l2Accesses,
+                               st.dramReads, st.ldstBusyCycles);
+    };
+    EXPECT_EQ(run_once(true), run_once(false));
+}
+
 TEST(Gpu, QuotasCapResidency)
 {
     Gpu gpu(cfg,

@@ -6,7 +6,7 @@
  * decision-log renderer, and the two properties the whole subsystem
  * promises — attaching the profiler, registry, and decision log
  * leaves the simulation bit-identical, and the decision log itself is
- * deterministic across tick-thread counts and clock-skip modes.
+ * deterministic across runs.
  */
 
 #include <gtest/gtest.h>
@@ -317,14 +317,14 @@ TEST(Diff, ThreadSensitiveKeysSkippedAcrossHosts)
 TEST(Diff, NestedKeysFlattenAndMissingKeysAreInformational)
 {
     const JsonValue base = parsed(
-        R"({"workloads":{"compute":{"cycles_per_sec_skip":100}},"gone":1})");
+        R"({"workloads":{"compute":{"cycles_per_sec":100}},"gone":1})");
     const JsonValue fresh = parsed(
-        R"({"workloads":{"compute":{"cycles_per_sec_skip":50}},"new":2})");
+        R"({"workloads":{"compute":{"cycles_per_sec":50}},"new":2})");
     const DiffResult diff = diffResults(base, fresh);
     EXPECT_EQ(diff.exitCode(), 1);
     ASSERT_EQ(diff.lines.size(), 1u);
     EXPECT_EQ(diff.lines[0].key,
-              "workloads.compute.cycles_per_sec_skip");
+              "workloads.compute.cycles_per_sec");
     ASSERT_EQ(diff.onlyBase.size(), 1u);
     EXPECT_EQ(diff.onlyBase[0], "gone");
     ASSERT_EQ(diff.onlyFresh.size(), 1u);
@@ -397,10 +397,9 @@ struct ObservedRun
 /** A small MM+LBM co-run under the Dynamic policy with everything
  *  observable attached (or nothing, when `observed` is false). */
 ObservedRun
-smallCoRun(bool observed, bool clock_skip)
+smallCoRun(bool observed)
 {
-    GpuConfig cfg = GpuConfig::baseline();
-    cfg.clockSkip = clock_skip;
+    const GpuConfig cfg = GpuConfig::baseline();
     const Cycle window = 6000;
     Characterization chars(cfg, window);
 
@@ -451,43 +450,34 @@ expectStatsEqual(const GpuStats &a, const GpuStats &b)
 
 TEST(ObsIdentity, ProfilerRegistryAndLogDoNotPerturbSimulation)
 {
-    const ObservedRun off = smallCoRun(false, true);
-    const ObservedRun on = smallCoRun(true, true);
+    const ObservedRun off = smallCoRun(false);
+    const ObservedRun on = smallCoRun(true);
     EXPECT_EQ(off.result.makespan, on.result.makespan);
     EXPECT_EQ(off.result.sysIpc, on.result.sysIpc);
     EXPECT_EQ(off.result.chosenCtas, on.result.chosenCtas);
     expectStatsEqual(off.result.stats, on.result.stats);
 }
 
-TEST(ObsIdentity, DecisionLogDeterministicAcrossClockSkip)
+TEST(ObsIdentity, DecisionLogDeterministicAcrossRuns)
 {
-    const ObservedRun skip = smallCoRun(true, true);
-    const ObservedRun noskip = smallCoRun(true, false);
-    EXPECT_FALSE(skip.decisionJson.empty());
-    EXPECT_EQ(skip.decisionJson, noskip.decisionJson);
-    expectStatsEqual(skip.result.stats, noskip.result.stats);
+    const ObservedRun a = smallCoRun(true);
+    const ObservedRun b = smallCoRun(true);
+    EXPECT_FALSE(a.decisionJson.empty());
+    EXPECT_EQ(a.decisionJson, b.decisionJson);
+    expectStatsEqual(a.result.stats, b.result.stats);
 }
 
-TEST(ObsProfiler, CountsTicksAndAttributesHorizons)
+TEST(ObsProfiler, CountsOneTickPerCycle)
 {
-    GpuConfig cfg = GpuConfig::baseline();
-    cfg.clockSkip = true;
-    Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
+    Gpu gpu(GpuConfig::baseline(), std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(benchmark("MM"));
     EngineProfiler prof;
     gpu.attachEngineProfiler(&prof);
     gpu.run(3000);
     prof.harvest(gpu);
 
-    EXPECT_GT(prof.ticks(), 0u);
-    // Every simulated cycle is either a full tick or part of a bulk
-    // skip.
-    EXPECT_EQ(gpu.cycle(), prof.ticks() + prof.skippedCycles());
-    std::uint64_t caps = 0;
-    for (unsigned c = 0;
-         c < static_cast<unsigned>(HorizonCap::NumCaps); ++c)
-        caps += prof.capCount(static_cast<HorizonCap>(c));
-    EXPECT_GT(caps, 0u);
+    EXPECT_EQ(gpu.cycle(), 3000u);
+    EXPECT_EQ(prof.ticks(), gpu.cycle());
     EXPECT_GT(prof.schedulerScans(), 0u);
     EXPECT_GT(prof.phaseNs(EpochPhase::SmCompute), 0u);
 
@@ -501,7 +491,7 @@ TEST(ObsProfiler, CountsTicksAndAttributesHorizons)
 
 TEST(ObsDecisionLog, RendererExplainsTheRecordedDecision)
 {
-    const ObservedRun run = smallCoRun(true, true);
+    const ObservedRun run = smallCoRun(true);
     const JsonValue doc = parsed(run.decisionJson);
     EXPECT_EQ(doc.stringOr("schema", ""), "wslicer-decisions-v1");
     std::ostringstream os;

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse.hh"
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/solo_cache.hh"
@@ -74,6 +75,21 @@ smallSweep(Cycle window)
 }
 
 } // namespace
+
+TEST(ParseDecimal, AcceptsOnlyPlainDigitsInRange)
+{
+    EXPECT_EQ(parseDecimal("0"), 0u);
+    EXPECT_EQ(parseDecimal("3000"), 3000u);
+    EXPECT_EQ(parseDecimal("007"), 7u);
+    EXPECT_EQ(parseDecimal("18446744073709551615"),
+              ~std::uint64_t{0});
+    for (const char *bad : {"", "abc", "3000x", "-1", "+7", " 9", "9 ",
+                            "0x10", "1.5", "18446744073709551616"})
+        EXPECT_FALSE(parseDecimal(bad).has_value()) << "'" << bad << "'";
+    EXPECT_FALSE(parseDecimal(nullptr).has_value());
+    EXPECT_EQ(parseDecimal("255", 255), 255u);
+    EXPECT_FALSE(parseDecimal("256", 255).has_value());
+}
 
 TEST(ParseJobs, NullAndEmptyMeanSerial)
 {

@@ -79,6 +79,30 @@ TEST(Telemetry, IntervalDeltasSumToFinalStats)
     EXPECT_EQ(prev_end, gpu->cycle());
 }
 
+TEST(Telemetry, SamplesLandOnExactIntervalBoundaries)
+{
+    // Interval 703 (prime, no relation to any engine constant) and a
+    // bound the series never reaches: interval i covers exactly
+    // [i * 703, (i + 1) * 703), and finish() closes the partial tail.
+    constexpr Cycle interval = 703;
+    constexpr Cycle window = 15'000;
+    Gpu gpu(GpuConfig::baseline(), std::make_unique<LeftOverPolicy>());
+    TelemetrySampler sampler(TelemetryConfig{interval, 4096});
+    gpu.attachTelemetry(&sampler);
+    gpu.launchKernel(benchmark("MM"));
+    ASSERT_EQ(gpu.run(window), window);
+    sampler.finish(gpu);
+    const auto &ivs = sampler.intervals();
+    ASSERT_EQ(ivs.size(), window / interval + 1);
+    for (std::size_t i = 0; i < ivs.size(); ++i) {
+        EXPECT_EQ(ivs[i].start, i * interval) << "interval " << i;
+        EXPECT_EQ(ivs[i].end, std::min<Cycle>((i + 1) * interval, window))
+            << "interval " << i;
+        EXPECT_EQ(ivs[i].gpu.cycles, ivs[i].end - ivs[i].start)
+            << "interval " << i;
+    }
+}
+
 TEST(Telemetry, PerSmDeltasSumToSmTotals)
 {
     auto gpu = makeCoRunGpu();

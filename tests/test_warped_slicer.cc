@@ -9,6 +9,7 @@
 
 #include "core/warped_slicer.hh"
 #include "harness/runner.hh"
+#include "obs/decision_log.hh"
 #include "workloads/benchmarks.hh"
 
 using namespace wsl;
@@ -81,6 +82,41 @@ TEST(WarpedSlicer, DecisionHappensAfterWarmupPlusProfile)
     EXPECT_TRUE(rig.dyn->phase() ==
                     WarpedSlicerPolicy::Phase::Enforced ||
                 rig.dyn->phase() == WarpedSlicerPolicy::Phase::Spatial);
+}
+
+TEST(WarpedSlicer, DecisionsApplyOnExactScheduleCycles)
+{
+    // The profiling schedule is cycle-exact: warmup and profile
+    // windows end at fixed cycles, and each applied repartition records
+    // the cycle it happened, in the decision history and the log.
+    auto run = [](DecisionLog &log) {
+        auto policy = std::make_unique<WarpedSlicerPolicy>(fastOpts());
+        policy->attachDecisionLog(&log);
+        WarpedSlicerPolicy *dyn = policy.get();
+        Gpu gpu(GpuConfig::baseline(), std::move(policy));
+        gpu.launchKernel(benchmark("IMG"), 10'000'000);
+        gpu.launchKernel(benchmark("NN"), 10'000'000);
+        gpu.run(12'000);
+        return dyn->decisionHistory();
+    };
+    DecisionLog log, again;
+    const auto history = run(log);
+    ASSERT_GE(history.size(), 1u);
+    // No algorithm delay: the first split applies on the cycle the
+    // profile window closes.
+    const WarpedSlicerOptions opts = fastOpts();
+    EXPECT_EQ(history.front().at, opts.warmup + opts.profileLength);
+    ASSERT_EQ(log.entries().size(), history.size());
+    for (std::size_t i = 0; i < history.size(); ++i)
+        EXPECT_EQ(log.entries()[i].cycle, history[i].at)
+            << "decision " << i;
+    run(again);
+    ASSERT_EQ(again.entries().size(), log.entries().size());
+    for (std::size_t i = 0; i < log.entries().size(); ++i) {
+        EXPECT_EQ(again.entries()[i].cycle, log.entries()[i].cycle);
+        EXPECT_EQ(again.entries()[i].chosenCtas,
+                  log.entries()[i].chosenCtas);
+    }
 }
 
 TEST(WarpedSlicer, EnforcedQuotasMatchDecision)

@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the calendar-queue timing wheel (common/wheel.hh) and
  * the inline popcount (common/bits.hh): per-slot FIFO order, slot
- * wrap-around, entry counts, the occupancy-bitmap next-slot search,
- * node reuse, and popcount agreement with std::popcount.
+ * wrap-around, entry counts, node reuse, and popcount agreement with std::popcount.
  */
 
 #include <gtest/gtest.h>
@@ -30,17 +29,6 @@ drainAll(Wheel &wheel, Cycle at)
     return got;
 }
 
-/** Reference answer for nextOccupied: probe slot by slot. */
-unsigned
-probeNext(const Wheel &wheel, Cycle from)
-{
-    for (unsigned d = 0; d < Wheel::slots; ++d) {
-        if (wheel.occupied(static_cast<unsigned>((from + d) % Wheel::slots)))
-            return d;
-    }
-    return Wheel::slots;
-}
-
 } // namespace
 
 TEST(TimingWheel, KeepsPushOrderWithinASlot)
@@ -65,12 +53,12 @@ TEST(TimingWheel, CyclesWrapFromTheLastSlotToTheFirst)
     wheel.push(255, 1);
     wheel.push(256, 2);  // slot 0
     wheel.push(3 * 256 + 255, 3);  // slot 255 again, behind entry 1
-    EXPECT_TRUE(wheel.occupied(255));
-    EXPECT_TRUE(wheel.occupied(0));
+    EXPECT_EQ(wheel.slotSize(255), 2u);
+    EXPECT_EQ(wheel.slotSize(0), 1u);
     EXPECT_EQ(drainAll(wheel, 255), (std::vector<std::uint32_t>{1, 3}));
     EXPECT_EQ(drainAll(wheel, 512), (std::vector<std::uint32_t>{2}));
-    EXPECT_FALSE(wheel.occupied(0));
-    EXPECT_FALSE(wheel.occupied(255));
+    EXPECT_EQ(wheel.slotSize(0), 0u);
+    EXPECT_EQ(wheel.slotSize(255), 0u);
 }
 
 TEST(TimingWheel, SizeTracksPushesAndDrains)
@@ -105,41 +93,6 @@ TEST(TimingWheel, EntriesPushedDuringADrainWaitAWrap)
     EXPECT_EQ(drainAll(wheel, 5 + 256), (std::vector<std::uint32_t>{2}));
 }
 
-TEST(TimingWheel, NextOccupiedCrossesWordBoundariesAndWraps)
-{
-    Wheel wheel;
-    EXPECT_EQ(wheel.nextOccupied(0), Wheel::slots);
-    EXPECT_EQ(wheel.nextOccupied(200), Wheel::slots);
-
-    wheel.push(64, 0);  // first slot of the second word
-    EXPECT_EQ(wheel.nextOccupied(0), 64u);
-    EXPECT_EQ(wheel.nextOccupied(63), 1u);
-    EXPECT_EQ(wheel.nextOccupied(64), 0u);
-    EXPECT_EQ(wheel.nextOccupied(65), 255u);  // wraps all the way round
-    EXPECT_EQ(wheel.nextOccupied(64 + 256), 0u);
-
-    wheel.push(3, 0);  // low bits of the first word
-    EXPECT_EQ(wheel.nextOccupied(250), 9u);  // 250 -> 255 -> 0 -> 3
-    EXPECT_EQ(wheel.nextOccupied(4), 60u);
-    EXPECT_EQ(wheel.nextOccupied(65), 194u);  // wraps to slot 3
-
-    wheel.push(191, 0);  // last slot of the third word
-    EXPECT_EQ(wheel.nextOccupied(65), 126u);
-    EXPECT_EQ(wheel.nextOccupied(128), 63u);
-
-    // Randomized cross-check against a slot-by-slot probe.
-    Rng rng(42);
-    for (unsigned round = 0; round < 50; ++round) {
-        Wheel w;
-        const unsigned n = static_cast<unsigned>(rng.range(6));
-        for (unsigned i = 0; i < n; ++i)
-            w.push(rng.range(Wheel::slots), i);
-        for (Cycle from = 0; from < 2 * Wheel::slots; ++from)
-            ASSERT_EQ(w.nextOccupied(from), probeNext(w, from))
-                << "round " << round << " from " << from;
-    }
-}
-
 TEST(TimingWheel, DrainedNodesAreReused)
 {
     Wheel wheel;
@@ -165,11 +118,8 @@ TEST(TimingWheel, ClearResetsEverything)
     wheel.clear();
     EXPECT_TRUE(wheel.empty());
     EXPECT_EQ(wheel.poolSize(), 0u);
-    EXPECT_EQ(wheel.nextOccupied(0), Wheel::slots);
-    for (unsigned slot = 0; slot < Wheel::slots; ++slot) {
-        EXPECT_FALSE(wheel.occupied(slot));
+    for (unsigned slot = 0; slot < Wheel::slots; ++slot)
         EXPECT_EQ(wheel.slotSize(slot), 0u);
-    }
     wheel.push(7, 70);
     EXPECT_EQ(drainAll(wheel, 7), (std::vector<std::uint32_t>{70}));
 }

@@ -7,17 +7,17 @@
  * pressure, barrier and divergence behavior, memory patterns), then
  * runs it with the invariant auditor at maximum cadence and the
  * no-progress watchdog armed. Any InvariantViolation, DeadlockError,
- * or InternalError is a finding: the driver re-runs the same seed with
- * clock skipping disabled to shrink the failure to its first failing
- * cycle on the reference loop, prints both reports, and exits
- * non-zero.
+ * or InternalError is a finding, and the driver exits non-zero. A
+ * finding at a coarser --cadence is re-run at audit cadence 1 to
+ * shrink it to its first failing cycle, and both reports are printed
+ * (at cadence 1 the re-run would repeat the same run, so it is
+ * skipped).
  *
  *   wslicer-fuzz [--seeds N] [--start-seed S] [--cycles C]
- *                [--cadence K] [--watchdog W] [--no-skip]
- *                [--snapshot]
+ *                [--cadence K] [--watchdog W] [--snapshot]
  *
  * Defaults: 50 seeds from 1, 20000 cycles each, audit cadence 1,
- * watchdog 10000 cycles, clock skipping randomized per seed.
+ * watchdog 10000 cycles.
  *
  * --snapshot switches every seed to a snapshot round-trip probe: the
  * scenario runs cold to completion, then again to a random cycle
@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "harness/runner.hh"
 #include "snapshot/snapshot.hh"
@@ -50,7 +51,6 @@ struct FuzzOptions
     Cycle cycles = 20'000;
     Cycle cadence = 1;
     Cycle watchdog = 10'000;
-    bool forceNoSkip = false;
     bool snapshotMode = false;  //!< random-horizon round-trip probes
 };
 
@@ -67,7 +67,7 @@ usage()
     std::fprintf(stderr,
                  "usage: wslicer-fuzz [--seeds N] [--start-seed S] "
                  "[--cycles C] [--cadence K] [--watchdog W] "
-                 "[--no-skip] [--snapshot]\n");
+                 "[--snapshot]\n");
     std::exit(2);
 }
 
@@ -126,7 +126,6 @@ buildScenario(std::uint64_t seed, const FuzzOptions &opt)
     sc.cfg.l1Mshrs = mshr_choices[rng.range(4)];
     sc.cfg.scheduler =
         rng.chance(0.5) ? SchedulerKind::Gto : SchedulerKind::Lrr;
-    sc.cfg.clockSkip = opt.forceNoSkip ? false : rng.chance(0.7);
     sc.cfg.auditCadence = opt.cadence;
     sc.cfg.watchdogCycles = opt.watchdog;
     sc.cfg.seed = seed;
@@ -283,24 +282,33 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // A strict decimal; anything else is a usage error.
+        auto number = [&]() {
+            const char *text = next();
+            const auto v = parseDecimal(text);
+            if (!v) {
+                std::fprintf(stderr, "%s: '%s' is not a number\n",
+                             arg.c_str(), text);
+                usage();
+            }
+            return *v;
+        };
         if (arg == "--seeds")
-            opt.seeds = std::strtoull(next(), nullptr, 10);
+            opt.seeds = number();
         else if (arg == "--start-seed")
-            opt.startSeed = std::strtoull(next(), nullptr, 10);
+            opt.startSeed = number();
         else if (arg == "--cycles")
-            opt.cycles = std::strtoull(next(), nullptr, 10);
+            opt.cycles = number();
         else if (arg == "--cadence")
-            opt.cadence = std::strtoull(next(), nullptr, 10);
+            opt.cadence = number();
         else if (arg == "--watchdog")
-            opt.watchdog = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--no-skip")
-            opt.forceNoSkip = true;
+            opt.watchdog = number();
         else if (arg == "--snapshot")
             opt.snapshotMode = true;
         else
             usage();
     }
-    if (opt.seeds == 0 || opt.cadence == 0)
+    if (opt.seeds == 0 || opt.cadence == 0 || opt.cycles < 2)
         usage();
 
     unsigned failures = 0;
@@ -319,34 +327,24 @@ main(int argc, char **argv)
             continue;
         }
         ++failures;
-        std::printf("fuzz: seed %llu FAILED (%u kernels, %s, "
-                    "clockSkip=%d)\n%s\n",
+        std::printf("fuzz: seed %llu FAILED (%u kernels, %s)\n%s\n",
                     static_cast<unsigned long long>(seed),
                     static_cast<unsigned>(sc.kernels.size()),
-                    policyName(sc.kind), sc.cfg.clockSkip ? 1 : 0,
-                    err.c_str());
-        // Shrink: same seed on the per-cycle reference loop at audit
-        // cadence 1 pins the first failing cycle and tells skip bugs
-        // apart from genuine invariant breaks.
+                    policyName(sc.kind), err.c_str());
+        if (opt.cadence == 1)
+            continue;
+        // Shrink: the same seed at audit cadence 1 pins the first
+        // failing cycle.
         FuzzOptions shrink_opt = opt;
         shrink_opt.cadence = 1;
-        shrink_opt.forceNoSkip = true;
-        Scenario shrunk = buildScenario(seed, shrink_opt);
-        shrunk.cfg.clockSkip = false;
+        const Scenario shrunk = buildScenario(seed, shrink_opt);
         const std::string shrunk_err =
             opt.snapshotMode
                 ? runSnapshotScenario(shrunk, opt.cycles, seed)
                 : runScenario(shrunk, opt.cycles);
-        if (shrunk_err.empty()) {
-            std::printf("fuzz: seed %llu shrink: clean without clock "
-                        "skipping — suspect the skip fast path\n",
-                        static_cast<unsigned long long>(seed));
-        } else {
-            std::printf("fuzz: seed %llu shrink (no-skip, cadence 1):\n"
-                        "%s\n",
-                        static_cast<unsigned long long>(seed),
-                        shrunk_err.c_str());
-        }
+        std::printf("fuzz: seed %llu shrink (cadence 1): %s\n",
+                    static_cast<unsigned long long>(seed),
+                    shrunk_err.empty() ? "clean" : shrunk_err.c_str());
     }
     if (failures != 0) {
         std::printf("fuzz: %u of %llu seeds failed\n", failures,

@@ -45,15 +45,19 @@
  * threads); results are bit-identical to serial runs.
  */
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "obs/decision_log.hh"
@@ -81,7 +85,6 @@ struct Options
     SchedulerKind sched = SchedulerKind::Gto;
     bool large = false;
     std::string preset;  //!< baseline|large|dc ("" = --large/baseline)
-    bool noSkip = false;  //!< force the per-cycle reference loop
     Cycle auditCadence = 0;    //!< 0 = integrity audits off
     Cycle watchdogCycles = 0;  //!< 0 = no-progress watchdog off
     std::string csvPath;
@@ -123,8 +126,6 @@ usage(const char *argv0)
                  "fixed:Q1,Q2[,Q3]\n"
                  "         --sched gto|lrr --csv FILE --json FILE --trace FILE\n"
                  "         --stats-interval N --timeline FILE --jobs N\n"
-                 "         --no-skip (disable event-horizon clock "
-                 "skipping; bit-identical, slower)\n"
                  "         --audit[=N] (run integrity audits every N "
                  "cycles; default 10000)\n"
                  "         --watchdog-cycles N (fail with a deadlock "
@@ -159,34 +160,52 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // A strict decimal in [min, max]; anything else is a usage
+        // error naming the flag.
+        auto number = [&](const std::string &text, std::uint64_t min = 0,
+                          std::uint64_t max = ~std::uint64_t{0}) {
+            const auto v = parseDecimal(text.c_str(), max);
+            if (!v || *v < min) {
+                std::fprintf(stderr,
+                             "%s: '%s' is not a whole number from %llu "
+                             "to %llu\n",
+                             arg.c_str(), text.c_str(),
+                             static_cast<unsigned long long>(min),
+                             static_cast<unsigned long long>(max));
+                usage(argv[0]);
+            }
+            return *v;
+        };
+        constexpr std::uint64_t uintMax =
+            std::numeric_limits<unsigned>::max();
         if (arg == "--cycles" || arg == "--window")
-            opt.cycles = std::strtoull(next().c_str(), nullptr, 10);
+            opt.cycles = number(next());
         else if (arg == "--ctas")
-            opt.ctas = std::atoi(next().c_str());
+            opt.ctas = static_cast<int>(
+                number(next(), 1, std::numeric_limits<int>::max()));
         else if (arg == "--policy")
             opt.policy = next();
-        else if (arg == "--sched")
-            opt.sched = next() == "lrr" ? SchedulerKind::Lrr
-                                        : SchedulerKind::Gto;
-        else if (arg == "--large")
+        else if (arg == "--sched") {
+            const std::string sched = next();
+            if (sched == "gto")
+                opt.sched = SchedulerKind::Gto;
+            else if (sched == "lrr")
+                opt.sched = SchedulerKind::Lrr;
+            else {
+                std::fprintf(stderr, "--sched: unknown scheduler '%s' "
+                             "(expected gto or lrr)\n", sched.c_str());
+                usage(argv[0]);
+            }
+        } else if (arg == "--large")
             opt.large = true;
         else if (arg == "--preset")
             opt.preset = next();
-        else if (arg == "--no-skip")
-            opt.noSkip = true;
         else if (arg == "--audit")
             opt.auditCadence = 10'000;
-        else if (arg.rfind("--audit=", 0) == 0) {
-            opt.auditCadence =
-                std::strtoull(arg.c_str() + 8, nullptr, 10);
-            if (opt.auditCadence == 0)
-                usage(argv[0]);
-        } else if (arg == "--watchdog-cycles") {
-            opt.watchdogCycles =
-                std::strtoull(next().c_str(), nullptr, 10);
-            if (opt.watchdogCycles == 0)
-                usage(argv[0]);
-        }
+        else if (arg.rfind("--audit=", 0) == 0)
+            opt.auditCadence = number(arg.substr(8), 1);
+        else if (arg == "--watchdog-cycles")
+            opt.watchdogCycles = number(next(), 1);
         else if (arg == "--trace")
             opt.tracePath = next();
         else if (arg == "--decision-log")
@@ -199,45 +218,49 @@ parseArgs(int argc, char **argv)
             opt.promPath = next();
         else if (arg == "--snapshot")
             opt.snapshotPath = next();
-        else if (arg == "--snapshot-at") {
-            opt.snapshotAt =
-                std::strtoull(next().c_str(), nullptr, 10);
-            if (opt.snapshotAt == 0)
-                usage(argv[0]);
-        } else if (arg == "--checkpoint-every") {
-            opt.checkpointEvery =
-                std::strtoull(next().c_str(), nullptr, 10);
-            if (opt.checkpointEvery == 0)
-                usage(argv[0]);
-        } else if (arg == "--restore")
+        else if (arg == "--snapshot-at")
+            opt.snapshotAt = number(next(), 1);
+        else if (arg == "--checkpoint-every")
+            opt.checkpointEvery = number(next(), 1);
+        else if (arg == "--restore")
             opt.restorePath = next();
         else if (arg == "--timeline")
             opt.timelinePath = next();
         else if (arg == "--stats-interval")
-            opt.statsInterval =
-                std::strtoull(next().c_str(), nullptr, 10);
-        else if (arg == "--jobs")
-            opt.jobs = parseJobs(next().c_str(), "--jobs");
-        else if (arg == "--rate")
-            opt.rate = std::strtod(next().c_str(), nullptr);
-        else if (arg == "--closed-loop")
+            opt.statsInterval = number(next());
+        else if (arg == "--jobs") {
+            const std::string jobs = next();
+            number(jobs, 0, uintMax);
+            opt.jobs = parseJobs(jobs.c_str(), "--jobs");
+        } else if (arg == "--rate") {
+            // A plain non-negative real: strtod alone would also take
+            // leading blanks, a sign, and a trailing suffix.
+            const std::string rate = next();
+            const char c0 = rate.empty() ? '\0' : rate[0];
+            char *end = nullptr;
+            opt.rate = std::strtod(rate.c_str(), &end);
+            if (!((c0 >= '0' && c0 <= '9') || c0 == '.') ||
+                *end != '\0' || !std::isfinite(opt.rate)) {
+                std::fprintf(stderr, "--rate: '%s' is not a "
+                             "non-negative number\n", rate.c_str());
+                usage(argv[0]);
+            }
+        } else if (arg == "--closed-loop")
             opt.closedLoop = true;
         else if (arg == "--horizon")
-            opt.horizon = std::strtoull(next().c_str(), nullptr, 10);
+            opt.horizon = number(next());
         else if (arg == "--quantum")
-            opt.quantum = std::strtoull(next().c_str(), nullptr, 10);
+            opt.quantum = number(next());
         else if (arg == "--max-batch")
-            opt.maxBatch = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            opt.maxBatch =
+                static_cast<unsigned>(number(next(), 0, uintMax));
         else if (arg == "--seed")
-            opt.seed = std::strtoull(next().c_str(), nullptr, 10);
-        else if (arg == "--chaos-seed") {
-            opt.chaosSeed = std::strtoull(next().c_str(), nullptr, 10);
-            if (opt.chaosSeed == 0)
-                usage(argv[0]);
-        } else if (arg == "--chaos-faults")
-            opt.chaosFaults = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            opt.seed = number(next());
+        else if (arg == "--chaos-seed")
+            opt.chaosSeed = number(next(), 1);
+        else if (arg == "--chaos-faults")
+            opt.chaosFaults =
+                static_cast<unsigned>(number(next(), 0, uintMax));
         else if (arg == "--slo")
             opt.sloPath = next();
         else if (arg == "--csv")
@@ -271,7 +294,6 @@ makeConfig(const Options &opt)
                         : GpuConfig::baseline();
     }
     cfg.scheduler = opt.sched;
-    cfg.clockSkip = !opt.noSkip;
     cfg.auditCadence = opt.auditCadence;
     cfg.watchdogCycles = opt.watchdogCycles;
     // Fail here with an actionable message, not deep in construction.
@@ -380,7 +402,11 @@ parseFixedPolicy(const std::string &policy, std::size_t num_apps)
             rest.substr(pos, comma == std::string::npos
                                  ? std::string::npos
                                  : comma - pos);
-        quotas.push_back(std::atoi(tok.c_str()));
+        const auto quota =
+            parseDecimal(tok.c_str(), std::numeric_limits<int>::max());
+        if (!quota)
+            fatal("fixed: quota '", tok, "' is not a CTA count");
+        quotas.push_back(static_cast<int>(*quota));
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
@@ -753,10 +779,9 @@ cmdCombos(const Options &opt)
                           std::to_string(combos[i][1]),
                           "failed(" + r.error.kind + ")", "-"});
             std::fprintf(stderr,
-                         "combo %d,%d failed (%s, %u retries): %s\n",
+                         "combo %d,%d failed (%s): %s\n",
                          combos[i][0], combos[i][1],
-                         r.error.kind.c_str(), r.error.retries,
-                         r.error.message.c_str());
+                         r.error.kind.c_str(), r.error.message.c_str());
             continue;
         }
         table.addRow({std::to_string(combos[i][0]),
